@@ -54,19 +54,23 @@ type Benchmark struct {
 	MinSpeedupVsWorkers1 *float64 `json:"min_speedup_vs_workers1,omitempty"`
 }
 
-// File is the emitted document. Goos/Goarch/CPU are informational —
-// they tell a reader which machine produced the numbers.
+// File is the emitted document. Goos/Goarch/CPU and GOMAXPROCS are
+// informational — they tell a reader which machine produced the
+// numbers. GOMAXPROCS is the core count every result ran on: the -N
+// suffix Go appends to each result name, or 1 when Go omits it.
 type File struct {
 	Goos       string      `json:"goos,omitempty"`
 	Goarch     string      `json:"goarch,omitempty"`
 	Pkg        string      `json:"pkg,omitempty"`
 	CPU        string      `json:"cpu,omitempty"`
+	GOMAXPROCS int         `json:"gomaxprocs,omitempty"`
 	Benchmarks []Benchmark `json:"benchmarks"`
 }
 
-// benchLine matches one result row; the -N GOMAXPROCS suffix is folded
-// into the base name so counts aggregate across identical runs.
-var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-\d+)?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
+// benchLine matches one result row. The -N GOMAXPROCS suffix is split
+// off the base name so counts aggregate across identical runs, and
+// recorded once per document.
+var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.]+) ns/op(?:\s+([0-9.]+) B/op\s+(\d+) allocs/op)?`)
 
 func main() {
 	var (
@@ -160,6 +164,14 @@ func parseRaw(r io.Reader) (*File, error) {
 		if m == nil {
 			continue
 		}
+		procs := 1
+		if m[2] != "" {
+			procs, _ = strconv.Atoi(m[2])
+		}
+		if f.GOMAXPROCS != 0 && procs != f.GOMAXPROCS {
+			return nil, fmt.Errorf("results ran at GOMAXPROCS %d and %d; one document records one core count", f.GOMAXPROCS, procs)
+		}
+		f.GOMAXPROCS = procs
 		name := m[1]
 		s := samples[name]
 		if s == nil {
@@ -167,17 +179,17 @@ func parseRaw(r io.Reader) (*File, error) {
 			samples[name] = s
 			order = append(order, name)
 		}
-		ns, err := strconv.ParseFloat(m[3], 64)
+		ns, err := strconv.ParseFloat(m[4], 64)
 		if err != nil {
 			return nil, fmt.Errorf("bad ns/op in %q: %w", line, err)
 		}
 		s.ns = append(s.ns, ns)
-		if m[4] != "" {
-			b, err := strconv.ParseFloat(m[4], 64)
+		if m[5] != "" {
+			b, err := strconv.ParseFloat(m[5], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad B/op in %q: %w", line, err)
 			}
-			a, err := strconv.ParseFloat(m[5], 64)
+			a, err := strconv.ParseFloat(m[6], 64)
 			if err != nil {
 				return nil, fmt.Errorf("bad allocs/op in %q: %w", line, err)
 			}
@@ -272,8 +284,11 @@ func readFile(path string) (*File, error) {
 // a benchmark doesn't require touching the baseline in the same change.
 // Speedup ratios versus the workers=1 sibling are always reported;
 // enforceSpd additionally fails entries below the baseline's
-// min_speedup_vs_workers1 budget.
+// min_speedup_vs_workers1 budget. The report opens with both
+// documents' core counts, since ns/op and speedups only compare across
+// runs on the same count.
 func gate(w io.Writer, base, cur *File, maxNs, maxAllocs float64, enforceSpd bool) bool {
+	fmt.Fprintf(w, "  gomaxprocs: baseline %s, current %s\n", procsLabel(base.GOMAXPROCS), procsLabel(cur.GOMAXPROCS))
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
 		baseBy[b.Name] = b
@@ -332,6 +347,15 @@ func gate(w io.Writer, base, cur *File, maxNs, maxAllocs float64, enforceSpd boo
 		fmt.Fprintln(w, "benchjson: regression gate passed")
 	}
 	return failed
+}
+
+// procsLabel prints a recorded core count; baselines written before
+// benchjson recorded it carry none.
+func procsLabel(n int) string {
+	if n == 0 {
+		return "unrecorded"
+	}
+	return strconv.Itoa(n)
 }
 
 // ratio is the fractional growth of cur over base; a zero base only

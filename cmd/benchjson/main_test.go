@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -41,6 +42,69 @@ func TestParseRawAggregates(t *testing.T) {
 	sim := f.Benchmarks[1]
 	if sim.Name != "BenchmarkSimulationRun" || sim.NsPerOp != 4400000 || sim.AllocsPerOp != 15515 {
 		t.Errorf("single-run benchmark: %+v", sim)
+	}
+}
+
+// TestParseRecordsGOMAXPROCS: the document records the core count its
+// workers=N cells ran on — Go's -N name suffix, or 1 when Go omits the
+// suffix (GOMAXPROCS=1) — and refuses to fold results from different
+// counts into one document.
+func TestParseRecordsGOMAXPROCS(t *testing.T) {
+	f, err := parse(strings.NewReader(rawSample))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if f.GOMAXPROCS != 8 {
+		t.Errorf("suffix -8: gomaxprocs %d, want 8", f.GOMAXPROCS)
+	}
+
+	single := "BenchmarkSimulationRunLarge/procs=4800/workers=2 \t 1\t 999000000 ns/op\t 80 B/op\t 3 allocs/op\n"
+	f, err = parse(strings.NewReader(single))
+	if err != nil {
+		t.Fatalf("parse: %v", err)
+	}
+	if f.GOMAXPROCS != 1 || f.Benchmarks[0].Name != "BenchmarkSimulationRunLarge/procs=4800/workers=2" {
+		t.Errorf("no suffix: gomaxprocs %d name %q, want 1 and the full name", f.GOMAXPROCS, f.Benchmarks[0].Name)
+	}
+
+	mixed := "BenchmarkA-2 \t 10\t 100 ns/op\nBenchmarkA-4 \t 10\t 90 ns/op\n"
+	if _, err := parse(strings.NewReader(mixed)); err == nil {
+		t.Error("results at GOMAXPROCS 2 and 4 folded into one document")
+	}
+
+	// The emitted document carries the count through a JSON round trip.
+	data, err := json.Marshal(&File{GOMAXPROCS: 2, Benchmarks: []Benchmark{{Name: "BenchmarkA"}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"gomaxprocs":2`) {
+		t.Errorf("emitted document lacks gomaxprocs: %s", data)
+	}
+	g, err := parse(strings.NewReader(string(data)))
+	if err != nil || g.GOMAXPROCS != 2 {
+		t.Errorf("round trip: gomaxprocs %d (err %v), want 2", g.GOMAXPROCS, err)
+	}
+}
+
+// TestGateReportsGOMAXPROCS: gate mode prints the baseline's core count
+// next to the current one, and marks a baseline that predates the field.
+func TestGateReportsGOMAXPROCS(t *testing.T) {
+	cur := &File{GOMAXPROCS: 2, Benchmarks: []Benchmark{{Name: "BenchmarkA", NsPerOp: 100}}}
+	for _, tc := range []struct {
+		base int
+		want string
+	}{
+		{1, "gomaxprocs: baseline 1, current 2"},
+		{0, "gomaxprocs: baseline unrecorded, current 2"},
+	} {
+		var out strings.Builder
+		base := &File{GOMAXPROCS: tc.base, Benchmarks: []Benchmark{{Name: "BenchmarkA", NsPerOp: 100}}}
+		if gate(&out, base, cur, 0.10, 0.10, false) {
+			t.Errorf("baseline gomaxprocs %d: equal timings failed the gate", tc.base)
+		}
+		if !strings.Contains(out.String(), tc.want) {
+			t.Errorf("baseline gomaxprocs %d: report lacks %q:\n%s", tc.base, tc.want, out.String())
+		}
 	}
 }
 

@@ -798,18 +798,6 @@ func (dc *Datacenter) AvailShard(dst []units.Seconds, now units.Seconds, lo, hi 
 	}
 }
 
-// RunningShard appends the running slices of processors [lo, hi) to
-// dst in processor order and returns it — the shard-range form of
-// RunningSlices, for per-worker collection buffers.
-func (dc *Datacenter) RunningShard(dst []*Slice, lo, hi int) []*Slice {
-	for id := lo; id < hi; id++ {
-		if cur := dc.current[id]; cur != nil {
-			dst = append(dst, cur)
-		}
-	}
-	return dst
-}
-
 // QueueEstimatesShard is QueueEstimates restricted to processors
 // [lo, hi): fn sees exactly the (slice, estimated start) pairs the
 // full walk reports for those processors, in the same order. fn must

@@ -500,9 +500,8 @@ func (s *sim) restore(data []byte) error {
 	// The snapshot carries dirty *flags* but not the dirty id sets the
 	// incremental order repairs consume, so every retained order cache
 	// is stale: force full rebuilds on first use. (RestoreState already
-	// raised the cluster's fair-dirty overflow; these cover the
-	// scheduler-side efficiency and slack caches.)
-	s.fairListsOK = false
+	// raised the cluster's fair-dirty overflow, which rebuilds every fair
+	// shard; these cover the scheduler-side efficiency and slack caches.)
 	s.effCacheOK = false
 	s.resetEffDirty()
 

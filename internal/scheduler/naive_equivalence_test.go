@@ -24,7 +24,7 @@ func gobBytes(t *testing.T, v any) []byte {
 }
 
 // TestOptimizedMatchesNaiveReference is the equivalence tentpole for
-// the allocation-free hot path and its sharded parallel tier: for
+// the allocation-free sharded kernels: for
 // every scheme, several seeds, and every worker count in {1, 2, 4, 8}
 // — plain, under dense fault injection, and with the brownout ladder,
 // battery, sampler, online profiling and rebalancing all engaged — the

@@ -10,39 +10,36 @@ import (
 	"iscope/internal/workload"
 )
 
-// This file is the parallel execution tier of the scheduling kernels,
-// active when RunConfig.Workers > 1. Each per-timestamp kernel keeps
-// exactly the serial tier's semantics and splits only its
-// embarrassingly parallel stage across fixed shards of the proc (or
-// job) population:
+// This file holds the per-timestamp scheduling kernels, each split
+// across fixed shards of the proc (or job) population. Every optimized
+// run attaches them at pool width max(1, RunConfig.Workers); a
+// one-worker pool owns no goroutines and calls each kernel inline over
+// the single shard [0, n), so a serial run is simply the one-shard
+// case of the same code:
 //
-//   - sharded incremental maintenance of the retained fair order: each
-//     shard keeps its own versioned idle lists and busy carry (the
-//     serial tier's fairIdle/idleExtra/busyKeys machinery restricted to
-//     the shard's id range), repairs them in parallel around the
-//     cluster's dirty feed, and the order materializes lazily by an
-//     argmin merge over the shard heads — a pass costs
-//     O((busy + dirty + consumed prefix)/workers + merge), not
-//     O(fleet log fleet);
+//   - incremental maintenance of the retained fair order: each shard
+//     keeps versioned idle lists and a busy carry for its id range,
+//     repairs them around the cluster's dirty feed, and the order
+//     materializes lazily by an argmin merge over the shard heads — a
+//     pass costs O((busy + dirty + consumed prefix)/workers + merge),
+//     not O(fleet log fleet);
 //   - per-shard fills of flat structure-of-arrays snapshots
 //     (utilization, availability) indexed by processor id;
-//   - per-shard sorts of the pointer-free sort keys from the serial
-//     tier (utilKey, slackEntry, effKey), merged by an
-//     order-preserving pairwise merge tree — the efficiency order's
-//     full-rebuild path and the slack order's churn path, both of
-//     which now also feed the serial tier's incremental repair caches
+//   - per-shard sorts of pointer-free sort keys (utilKey, slackEntry,
+//     effKey), merged by an order-preserving pairwise merge tree — the
+//     efficiency order's full rebuild and the slack order's churn
+//     rebuild, which also seed the incremental repair caches in sim.go
 //     so the common pass is a cheap repair, not a rebuild;
 //   - a block-cyclic parallel find-first for rebalance target search.
 //
-// Every comparator involved is a strict total order (see the serial
-// kernels), so a shard repair + lazy merge — like a shard sort + stable
-// merge — yields the unique sorted permutation, the same bytes the
-// serial tier produces, for any worker count. Shard boundaries, the
+// Every comparator involved is a strict total order, so a shard repair
+// + lazy merge — like a shard sort + stable merge — yields the unique
+// sorted permutation for any worker count. Shard boundaries, the
 // per-shard full-vs-repair choice, and merge pairing depend only on
 // (n, Workers) and affect performance alone; reductions that are
 // sensitive to float association (wait sums, the sorted slowdown sum)
-// stay serial in a fixed order. Worker count therefore never leaks
-// into results or checkpoints.
+// run in a fixed order on the event goroutine. Worker count therefore
+// never leaks into results or checkpoints.
 //
 // All kernels and the rebalance predicate are bound once at
 // construction and pass their arguments through parState fields, so
@@ -59,14 +56,23 @@ type parWorker struct {
 	estFn func(*cluster.Slice, units.Seconds)
 }
 
-// fairShard is one shard's slice of the retained fair-order state: the
-// serial tier's incremental machinery (sim.fairIdle / idleExtra /
-// busyKeys and their scratch) restricted to the processor ids in
-// [lo, hi). Shards are fixed at construction from the same
-// shard.Range partition Pool.Run dispatches, so a worker only ever
-// touches its own arena — and the shared per-id arrays (fairVer,
-// dirtyMark) at its own disjoint id range. Everything here is derived
-// cache, rebuilt from the cluster on demand; checkpoints never see it.
+// fairShard is one shard's retained fair-order state over the
+// processor ids in [lo, hi). Idle processors' utilization keys are
+// static (no in-flight span), so idle — the shard's idle processors
+// sorted by (u, id) — stays exactly sorted until a processor the
+// cluster reports dirty (FairDirty) starts or stops. Instead of
+// rewriting the idle list each pass, dirty processors' old entries are
+// abandoned in place (invalidated by bumping the processor's fairVer
+// stamp) and their fresh keys merged into the small extra overlay;
+// only the busy minority, whose keys move with now, is re-keyed per
+// pass. fullShard is the fallback past the dirt thresholds — and the
+// compaction that clears accumulated stale entries.
+//
+// Shards are fixed at construction from the same shard.Range partition
+// Pool.Run dispatches, so a worker only ever touches its own arena —
+// and the shared per-id arrays (fairVer, dirtyMark) at its own disjoint
+// id range. Everything here is derived cache, rebuilt from the cluster
+// on demand; checkpoints never see it.
 type fairShard struct {
 	idle    []idleEntry // main idle list; may carry stale entries
 	extra   []idleEntry // sorted overlay of re-keyed idle entries
@@ -100,14 +106,22 @@ type parState struct {
 	w    []parWorker
 
 	// Sharded retained fair order (see fairShard) plus the pass inputs
-	// published to the repair kernel.
+	// published to the repair kernel. fairVer is each processor's
+	// idle-entry version, bumped when the cluster reports it dirty;
+	// dirtyMark is the epoch-stamped dirty membership of the current
+	// pass; utilBuf is the full-pass utilization snapshot. All three are
+	// indexed by processor id, and each shard writes only its own range.
 	fairSh        []fairShard
 	dirtyAll      []int32
 	dirtyOverflow bool
+	fairVer       []int32
+	dirtyMark     []int64
+	dirtyEpoch    int64
+	utilBuf       []units.Seconds
 
 	// avail[id] is a per-phase snapshot of dc.AvailableAt(id, now),
-	// refreshed after every mutation inside the phase, replacing the
-	// serial tier's O(cands x procs) repeated AvailableAt calls.
+	// refreshed after every mutation inside the phase, so the target
+	// search does not recompute AvailableAt per (candidate, target).
 	avail   []units.Seconds
 	running []*cluster.Slice
 	starts  []int
@@ -138,28 +152,18 @@ type parState struct {
 	slowMerge  *shard.Merger[float64]
 }
 
-// newParState builds the parallel tier: the shard pool, per-worker
-// arenas, and the id- and position-indexed buffers the kernels fill
-// directly (the serial tier builds these lazily with append; the
-// parallel kernels index disjoint ranges, so they are sized up front).
+// newParState builds the kernel tier: the shard pool, per-worker
+// arenas and the prebound kernels. The id- and position-indexed
+// buffers the kernels fill by index are sized by each kernel on first
+// use, on the event goroutine, so a run pays only for the orders its
+// policy consumes.
 func newParState(s *sim, workers int) *parState {
 	p := &parState{
-		s:    s,
-		pool: shard.NewPool(workers),
-		w:    make([]parWorker, workers),
+		s:      s,
+		pool:   shard.NewPool(workers),
+		w:      make([]parWorker, workers),
+		fairSh: make([]fairShard, workers),
 	}
-	n := len(s.dc.Procs)
-	p.avail = make([]units.Seconds, n)
-	s.utilBuf = make([]units.Seconds, n)
-	// The sharded fair order shares the serial tier's per-id validity
-	// stamps and the fairOrder memo; the lists themselves live per
-	// shard so repairs write disjoint arenas.
-	s.fairOrder = make([]int, 0, n)
-	s.fairVer = make([]int32, n)
-	s.dirtyMark = make([]int64, n)
-	p.fairSh = make([]fairShard, workers)
-	s.effKeys = make([]effKey, n)
-	s.slowsBuf = make([]float64, len(s.states))
 	for i := range p.w {
 		w := &p.w[i]
 		w.estFn = func(sl *cluster.Slice, estStart units.Seconds) {
@@ -192,8 +196,8 @@ func newParState(s *sim, workers int) *parState {
 	return p
 }
 
-// close releases the parallel tier's worker goroutines; a serial sim
-// has nothing to release.
+// close releases the kernel pool's worker goroutines; a one-worker
+// pool and a naive sim own none.
 func (s *sim) close() {
 	if s.par != nil {
 		s.par.pool.Close()
@@ -242,16 +246,15 @@ func cmpFloat(a, b float64) int {
 
 // --- least-used (fair) order ---------------------------------------
 //
-// The sharded mirror of the serial tier's incremental fair order
-// (ensureFairPass / repairFairPass / extendFairMemo in sim.go). Each
-// fairShard retains the idle lists and busy carry for its id range;
-// fairPass repairs (or rebuilds) every shard in parallel, and the order
-// materializes lazily: parExtendFair takes the argmin over the shard
-// heads — at most Workers compares per emission — so a placement pass
-// consumes only the prefix it needs. Every per-shard source is sorted
-// under the strict (u, id) order and the shards' id ranges are
-// disjoint, so the merged emission sequence is the unique global sorted
-// permutation regardless of where the shard boundaries fall.
+// Each fairShard retains the idle lists and busy carry for its id
+// range; fairPass repairs (or rebuilds) every shard in parallel, and
+// the order materializes lazily: parExtendFair takes the argmin over
+// the shard heads — at most Workers compares per emission — so a
+// placement pass consumes only the prefix it needs. Every per-shard
+// source is sorted under the strict (u, id) order and the shards' id
+// ranges are disjoint, so the merged emission sequence is the unique
+// global sorted permutation regardless of where the shard boundaries
+// fall.
 
 // fairPass runs one sharded pass: publish the pass instant and the
 // cluster's dirty feed, repair every shard in parallel, then refresh
@@ -259,7 +262,14 @@ func cmpFloat(a, b float64) int {
 // the dirty-feed reset.
 func (p *parState) fairPass(now units.Seconds, dirty []int32, overflow bool) {
 	s := p.s
-	s.dirtyEpoch++ // one epoch per pass, shared by every shard
+	if p.fairVer == nil {
+		n := len(s.dc.Procs)
+		s.fairOrder = make([]int, 0, n)
+		p.fairVer = make([]int32, n)
+		p.dirtyMark = make([]int64, n)
+		p.utilBuf = make([]units.Seconds, n)
+	}
+	p.dirtyEpoch++ // one epoch per pass, shared by every shard
 	p.now = now
 	p.dirtyAll = dirty
 	p.dirtyOverflow = overflow
@@ -271,9 +281,10 @@ func (p *parState) fairPass(now units.Seconds, dirty []int32, overflow bool) {
 }
 
 // fairShardPass is the per-shard kernel: bucketize the dirty feed to
-// the shard's id range, then repair the retained lists when the dirt is
-// below the serial tier's thresholds (scaled to the shard) or rebuild
-// them wholesale. The full-vs-repair choice is per shard and purely a
+// the shard's id range, then repair the retained lists while the dirt
+// stays below the shard's thresholds (an eighth of the shard dirty, or
+// max(1024, shard/32) stale entries accumulated) or rebuild them
+// wholesale. The full-vs-repair choice is per shard and purely a
 // performance decision — both paths rederive the identical sorted
 // sources.
 func (p *parState) fairShardPass(sh, lo, hi int) {
@@ -303,13 +314,21 @@ func (p *parState) fairShardPass(sh, lo, hi int) {
 	fs.ii, fs.ei, fs.bi = 0, 0, 0
 }
 
-// fullShard mirrors fullFairPass on [lo, hi): one sort of the shard's
-// keys — re-keyed in the previous pass's nearly sorted order — then the
-// idle/busy partition that seeds the retained lists, shedding stale
-// entries and the overlay.
+// fullShard is the non-incremental rebuild of [lo, hi): one sort of the
+// shard's keys, then the idle/busy partition that seeds the retained
+// lists, shedding stale entries and the overlay. Keys are re-keyed in
+// the previous full pass's sorted order: busy processors all accrue
+// utilization at the same rate, so the permutation only changes where
+// a busy processor overtakes an idle one. The nearly sorted input hits
+// pdqsort's partial-insertion fast path, and because (u, id) is a
+// strict total order the result is identical from any starting
+// permutation. Idle keys are exact (no in-flight term), so the
+// partition seeds the lists directly; entries written at the
+// processors' current stamps are valid without touching fairVer —
+// abandoned husks all carry older stamps.
 func (p *parState) fullShard(fs *fairShard, lo, hi int) {
 	s, now := p.s, p.now
-	s.dc.UtilShard(s.utilBuf, now, lo, hi)
+	s.dc.UtilShard(p.utilBuf, now, lo, hi)
 	keys := fs.keys
 	if len(keys) != hi-lo {
 		keys = keys[:0]
@@ -318,7 +337,7 @@ func (p *parState) fullShard(fs *fairShard, lo, hi int) {
 		}
 	}
 	for i := range keys {
-		keys[i].u = s.utilBuf[keys[i].id]
+		keys[i].u = p.utilBuf[keys[i].id]
 	}
 	slices.SortFunc(keys, utilAsc)
 	fs.keys = keys
@@ -332,30 +351,42 @@ func (p *parState) fullShard(fs *fairShard, lo, hi int) {
 			fs.carry = append(fs.carry, int32(k.id))
 			fs.busy = append(fs.busy, k)
 		} else {
-			fs.idle = append(fs.idle, idleEntry{u: k.u, id: int32(k.id), ver: s.fairVer[k.id]})
+			fs.idle = append(fs.idle, idleEntry{u: k.u, id: int32(k.id), ver: p.fairVer[k.id]})
 		}
 	}
 	fs.listsOK = true
 }
 
-// repairShard mirrors repairFairPass on the shard's id range: bump the
-// dirty stamps (the shard's ids alone — the shared fairVer/dirtyMark
-// writes are disjoint across workers), re-key the busy carry with the
-// ulp-flip extraction, and fold the freshly idle keys into the overlay.
-// See the serial twin for the correctness argument; every key computed
-// here equals the one fullShard would compute.
+// repairShard refreshes the shard's pass sources around its dirty ids
+// alone. Dirty processors have every old idle entry invalidated by one
+// fairVer bump (the shard's ids only, so the shared fairVer/dirtyMark
+// writes are disjoint across workers); the ones idle now contribute one
+// fresh entry merged into the overlay, and the ones busy now join the
+// re-keyed busy list. Idle keys are utilTime exactly and busy keys use
+// the same float expression as UtilShard (see Datacenter.UtilAt), so
+// every key equals the one fullShard would compute and the streamed
+// merge — under the strict (u, id) order — is identical to the full
+// sort.
 func (p *parState) repairShard(fs *fairShard) {
 	s, now := p.s, p.now
 	for _, id := range fs.dirty {
-		s.dirtyMark[id] = s.dirtyEpoch
-		s.fairVer[id]++
+		p.dirtyMark[id] = p.dirtyEpoch
+		p.fairVer[id]++
 	}
 	fs.stale += len(fs.dirty)
 
+	// Re-key the busy carry in its retained order. In real arithmetic
+	// every continuously busy processor's key shifts by the same amount
+	// between passes, so the carried order is preserved; float rounding
+	// can flip near-ties by an ulp, so any re-keyed element that lands
+	// below its predecessor is extracted into the busy patch instead of
+	// trusted. Only the small patch (extracted flips plus dirty
+	// processors that are busy now) is sorted and merged back, which
+	// keeps the pass linear in the busy minority, not the shard.
 	busy := fs.busy[:0]
 	bpatch := fs.bpatch[:0]
 	for _, id := range fs.carry {
-		if s.dirtyMark[id] == s.dirtyEpoch {
+		if p.dirtyMark[id] == p.dirtyEpoch {
 			continue
 		}
 		k := utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)}
@@ -370,7 +401,7 @@ func (p *parState) repairShard(fs *fairShard) {
 		if s.dc.IsBusy(int(id)) {
 			bpatch = append(bpatch, utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)})
 		} else {
-			patch = append(patch, idleEntry{u: s.dc.UtilTimeOf(int(id)), id: id, ver: s.fairVer[id]})
+			patch = append(patch, idleEntry{u: s.dc.UtilTimeOf(int(id)), id: id, ver: p.fairVer[id]})
 		}
 	}
 	slices.SortFunc(bpatch, utilAsc)
@@ -395,6 +426,10 @@ func (p *parState) repairShard(fs *fairShard) {
 		fs.carry = append(fs.carry, int32(k.id))
 	}
 
+	// Fold the freshly idle keys into the overlay. The main idle list is
+	// untouched — the dirty processors' entries there are already dead
+	// via the stamp bump — so this costs the overlay's size, which
+	// compaction keeps a small fraction of the shard.
 	if len(patch) > 0 {
 		slices.SortFunc(patch, idleAsc)
 		merged := fs.scratch[:0]
@@ -413,11 +448,16 @@ func (p *parState) repairShard(fs *fairShard) {
 }
 
 // shardHead refreshes the shard's cached merge head: the least (u, id)
-// among its three sources, skipping idle entries whose version stamp is
-// stale — exactly extendFairMemo's 3-way compare, cached so the global
-// argmin below touches one struct per shard.
+// among its three sources — the main idle list and the overlay (both
+// skipping entries whose version stamp is stale) and the busy keys —
+// cached so the global argmin below touches one struct per shard.
+// Validity is frozen with the pass: stamps only move in repairShard, so
+// a processor placed mid-pass keeps its pass-entry position exactly as
+// the cached-permutation semantics require. At most one idle entry per
+// processor is valid and busy processors never have one, so the heads
+// are distinct (u, id) keys and the strict comparison needs no dedup.
 func (p *parState) shardHead(fs *fairShard) {
-	ver := p.s.fairVer
+	ver := p.fairVer
 	for fs.ii < len(fs.idle) && fs.idle[fs.ii].ver != ver[fs.idle[fs.ii].id] {
 		fs.ii++
 	}
@@ -493,16 +533,16 @@ func (p *parState) effKeyFill(_, lo, hi int) {
 	slices.SortFunc(s.effKeys[lo:hi], effCmp)
 }
 
-// parFullEffOrder is the sharded twin of fullEffOrder: parallel
-// (rank, pos) key fills and the merge tree; positions are a
-// permutation, so the key order is strict and the result matches the
-// serial full rebuild. Like its twin it refreshes the rank/position
-// caches, so subsequent refreshes with a small dirty set take the
-// serial repairEffOrder merge walk instead of rebuilding the fleet.
+// parFullEffOrder is the non-incremental preference rebuild: sharded
+// (rank, pos) key fills and shard sorts, then the merge tree; positions
+// are a permutation, so the key order is strict. It also refreshes the
+// rank/position caches, so later refreshes with a small dirty set take
+// the repairEffOrder merge walk instead of rebuilding the fleet.
 func (s *sim) parFullEffOrder() {
 	p := s.par
 	n := len(s.effPref)
 	if s.effRank == nil {
+		s.effKeys = make([]effKey, n)
 		s.effRank = make([]float64, n)
 		s.effPos = make([]int32, n)
 		s.effPref2 = make([]int, 0, n)
@@ -521,13 +561,12 @@ func (s *sim) parFullEffOrder() {
 
 // --- matching sort --------------------------------------------------
 
-// runCollect is sortRunningBySlack's newcomer scan, sharded: each
-// worker walks its id range of the per-processor running view and
-// collects the slices that started since the previous pass (stamp
-// epoch mismatch; the stamps are read-only during the phase). The main
-// goroutine concatenates the arenas in shard order — the identical
-// id-ascending sequence the serial scan emits — so the retained-order
-// repair downstream sees the same patch either way.
+// runCollect is sortRunningBySlack's newcomer scan: each worker walks
+// its id range of the per-processor running view and collects the
+// slices that started since the previous pass (stamp epoch mismatch;
+// the stamps are read-only during the phase). The event goroutine
+// concatenates the arenas in shard order — id-ascending at any worker
+// count — so the retained-order repair downstream sees the same patch.
 func (p *parState) runCollect(sh, lo, hi int) {
 	s := p.s
 	w := &p.w[sh]
@@ -557,10 +596,9 @@ func (p *parState) slackKeyFill(_, lo, hi int) {
 }
 
 // parSlackRebuild fills and shard-sorts the slack keys of the combined
-// running list and merges them — the parallel form of the serial
-// full-rebuild sort inside sortRunningBySlack, used past the churn
-// threshold. The returned keys may alias the merger's scratch; the
-// caller applies the permutation immediately.
+// running list and merges them — sortRunningBySlack's full rebuild,
+// used past the churn threshold. The returned keys may alias the
+// merger's scratch; the caller applies the permutation immediately.
 func (s *sim) parSlackRebuild(running []*cluster.Slice, now units.Seconds, desc bool) []slackEntry {
 	p := s.par
 	m := len(running)
@@ -589,9 +627,9 @@ func (p *parState) fbCollect(sh, lo, hi int) {
 
 // parFallbackCollect fills availBuf with the untaken processors'
 // availability for selectProcs' heap fallback: per-worker collection
-// over id ranges, concatenated in shard order — the identical id-
-// ascending sequence the serial loop builds, so heapify sees the same
-// array and the pops are byte-identical.
+// over id ranges, concatenated in shard order — id-ascending at any
+// worker count, so heapify sees the same array and the pops are
+// byte-identical.
 func (s *sim) parFallbackCollect(now units.Seconds) {
 	p := s.par
 	p.now = now
@@ -618,9 +656,9 @@ func (p *parState) availFill(_, lo, hi int) {
 
 // rebalTarget is FindFirst's predicate: can preference-order position
 // pos host the current candidate? It reads the availability snapshot
-// and calls chooseLevel, both pure reads during the search, and
-// replicates the serial walk's skip conditions exactly, so the first
-// true position is the processor the serial walk migrates to.
+// and calls chooseLevel, both pure reads during the search, and applies
+// the reference walk's skip conditions exactly, so the first true
+// position is the processor a left-to-right walk migrates to.
 func (p *parState) rebalTarget(pos int) bool {
 	id := p.order[pos]
 	if id == p.srcProc {
@@ -635,13 +673,12 @@ func (p *parState) rebalTarget(pos int) bool {
 }
 
 // parRebalance is the sharded rebalance: parallel candidate collection
-// over queue shards, the same strict-order candidate sort, one
-// parallel availability snapshot, then a block-cyclic parallel
-// find-first over the preference order per candidate. The snapshot
-// replaces the serial tier's per-(candidate, target) AvailableAt
-// re-computation and is refreshed for exactly the two processors a
-// migration mutates, so every predicate evaluation sees the value the
-// serial walk would compute fresh.
+// over queue shards, a sort most-endangered first under the strict
+// (estStart desc, job, proc) order, one parallel availability
+// snapshot, then a block-cyclic parallel find-first over the
+// preference order per candidate. The snapshot is refreshed for
+// exactly the two processors a migration mutates, so every predicate
+// evaluation sees the value a fresh AvailableAt would compute.
 func (s *sim) parRebalance(now units.Seconds) {
 	p := s.par
 	n := len(s.dc.Procs)
@@ -659,6 +696,9 @@ func (s *sim) parRebalance(now units.Seconds) {
 	order := s.candidateOrder(now, false)
 	s.ensureKnow()
 	p.order = order
+	if p.avail == nil {
+		p.avail = make([]units.Seconds, n)
+	}
 	p.pool.Run(n, p.availFillK)
 	for _, c := range cands {
 		sl := c.sl
@@ -674,7 +714,7 @@ func (s *sim) parRebalance(now units.Seconds) {
 		src := sl.ProcID
 		started, err := s.dc.Migrate(sl, id, level, now)
 		if err != nil {
-			continue // raced with a start; leave it be (serial tier breaks here too)
+			continue // raced with a start; leave it be
 		}
 		if started != nil {
 			s.scheduleCompletion(started)
@@ -699,21 +739,19 @@ func (p *parState) slowsFill(_, lo, hi int) {
 
 // parQualityMetrics computes the end-of-run statistics with a parallel
 // slowdown fill + shard sort + merge. The wait sum and the sorted
-// slowdown sum stay serial in their fixed orders (job order and
-// ascending order respectively): float addition is not associative,
-// and shard boundaries depend on the worker count, so a sharded
-// reduction would leak Workers into the result's low bits. Merging
-// shard-sorted runs of plain float64 values is still safe — equal
-// values are indistinguishable, so the merged value sequence is the
-// unique ascending multiset either tier produces.
+// slowdown sum run on the event goroutine in their fixed orders (job
+// order and ascending order respectively): float addition is not
+// associative, and shard boundaries depend on the worker count, so a
+// sharded reduction would leak Workers into the result's low bits.
+// Merging shard-sorted runs of plain float64 values is still safe —
+// equal values are indistinguishable, so the merged value sequence is
+// the unique ascending multiset at any worker count.
 func (s *sim) parQualityMetrics() (meanSlow, p95Slow float64, meanWait units.Seconds) {
 	p := s.par
 	m := len(s.states)
 	if m == 0 {
 		return 0, 0, 0
 	}
-	// The scratch was sized at construction; streamed runs may have
-	// injected jobs since.
 	if cap(s.slowsBuf) < m {
 		s.slowsBuf = make([]float64, m)
 	}

@@ -116,9 +116,8 @@ func TestCheckpointInterchangeAcrossWorkers(t *testing.T) {
 // dirty bursts — including oversized ones that force the full-pass
 // fallback — the fully drained order at every committed worker count
 // must equal the ground-truth (utilization, id) sort element for
-// element. workers=1 pins the serial retained order against the same
-// reference, so the sharded repair+merge path and the serial repair
-// path are both held to the identical permutation.
+// element. workers=1 is the single-shard pool every serial run uses,
+// so serial runs are held to the identical permutation too.
 func TestShardedFairOrderRandomized(t *testing.T) {
 	fleet := testFleet(t, 256)
 	jobs := testJobs(t, 23, 120, 0.3)

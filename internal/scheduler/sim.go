@@ -112,15 +112,18 @@ type RunConfig struct {
 	// identical configuration; the run continues from the captured time
 	// and finishes with results bit-identical to the uninterrupted run.
 	Resume []byte
-	// Workers shards the per-timestamp scheduling kernels (placement
-	// order sorts, the matching sort, rebalance target search, final
-	// quality metrics) across this many workers; 0 and 1 run serially.
-	// Shard boundaries and merge order are pure functions of the fleet
-	// size and this count — never goroutine timing — and every sharded
-	// sort runs under a strict total order, so results and checkpoint
-	// bytes are bit-identical for every value of Workers; only
-	// wall-clock time changes. Like naive, it is excluded from cfgHash:
-	// a checkpoint taken at one worker count resumes at any other.
+	// Workers is the width of the pool the per-timestamp scheduling
+	// kernels (the fair and efficiency orders, the matching sort,
+	// placement fallback, rebalance target search, final quality
+	// metrics) are sharded across. 0 and 1 both mean one worker: the
+	// kernels run inline on the event goroutine over a single shard,
+	// and no goroutine is started. Shard boundaries and merge order are
+	// pure functions of the fleet size and this count — never goroutine
+	// timing — and every sharded sort runs under a strict total order,
+	// so results and checkpoint bytes are bit-identical for every value
+	// of Workers; only wall-clock time changes. Like naive, it is
+	// excluded from cfgHash: a checkpoint taken at one worker count
+	// resumes at any other.
 	Workers int
 
 	// naive switches the scheduler's hot paths to the retained reference
@@ -354,45 +357,12 @@ type sim struct {
 	placeBuf      []placement
 	takenMark     []int64
 	takenEpoch    int64
-	utilBuf       []units.Seconds
-	fairKeys      []utilKey
 	slackBuf      []slackEntry
 	changedBuf    []*cluster.Slice
 	candBuf       []rebalCand
 	slowsBuf      []float64
 	permBuf       []int
 	effKeys       []effKey
-
-	// Incremental fair-order maintenance (serial tier). Idle processors'
-	// utilization keys are static (no in-flight span), so fairIdle — the
-	// idle fleet sorted by (u, id) — stays exactly sorted until a
-	// processor the cluster reports dirty (FairDirty) starts or stops.
-	// Instead of rewriting the idle list each pass, dirty processors'
-	// old entries are abandoned in place (invalidated by bumping the
-	// processor's fairVer stamp) and their fresh keys merged into the
-	// small idleExtra overlay; only the busy minority, whose keys move
-	// with now, is re-keyed per pass. The order itself is never
-	// materialized eagerly: extendFairMemo streams the three sorted
-	// sources on demand into the fairOrder memo, so a pass costs
-	// O(busy + dirty + consumed prefix) instead of O(fleet).
-	// fullFairPass is the fallback past the dirt threshold — and the
-	// compaction that clears accumulated stale entries.
-	fairIdle    []idleEntry // main idle list; may carry stale entries
-	idleExtra   []idleEntry // sorted overlay of re-keyed idle entries
-	idleScratch []idleEntry // overlay merge scratch
-	idlePatch   []idleEntry // per-pass freshly idle keys
-	fairBusy    []int32     // busy processors in last pass's order
-	busyKeys    []utilKey
-	busyKeys2   []utilKey
-	busyPatch   []utilKey
-	fairVer     []int32 // per-proc entry version; bumped when dirty
-	fairStale   int     // stale entries abandoned since the last full pass
-	fairII      int     // pass cursors into fairIdle / idleExtra / busyKeys
-	fairEI      int
-	fairBI      int
-	fairListsOK bool
-	dirtyMark   []int64 // epoch-stamped dirty membership
-	dirtyEpoch  int64
 
 	// Incremental efficiency-order maintenance. effRank caches the last
 	// EffRank per processor and effPos its index in effPref; finishScan
@@ -416,10 +386,11 @@ type sim struct {
 	runKeys2   []runKey
 	runSorted2 []*cluster.Slice
 
-	// par is the sharded parallel tier (see parallel.go), nil when
-	// Workers <= 1 or in naive mode. It holds only per-call scratch and
-	// the worker pool — never simulation state — so checkpoints ignore
-	// it entirely.
+	// par runs the sharded scheduling kernels (see parallel.go) on a
+	// pool of max(1, Workers) workers; a one-worker pool runs every
+	// kernel inline over a single shard. nil only in naive mode. It
+	// holds per-call scratch, derived caches and the worker pool —
+	// never simulation state — so checkpoints ignore it entirely.
 	par *parState
 }
 
@@ -790,11 +761,11 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 
 	s.batchHalt = func() bool { return s.jobsLeft == 0 || s.invErr != nil }
 
-	// The parallel tier attaches last, after every error return: a
-	// failed construction must not leak worker goroutines. Naive mode
-	// always wins — it is the oracle the parallel tier is tested against.
-	if cfg.Workers > 1 && !cfg.naive {
-		s.par = newParState(s, cfg.Workers)
+	// The kernel pool attaches last, after every error return: a failed
+	// construction must not leak worker goroutines. Naive mode keeps its
+	// reference kernels — the oracle the sharded ones are tested against.
+	if !cfg.naive {
+		s.par = newParState(s, max(1, cfg.Workers))
 	}
 
 	return s, nil
@@ -921,7 +892,7 @@ func (s *sim) sliceFor(serial int) *cluster.Slice {
 }
 
 // indexSlice registers a freshly placed slice in the serial index,
-// growing it (and the parallel run-stamp set) to cover the serial.
+// growing it (and the run-stamp set) to cover the serial.
 func (s *sim) indexSlice(sl *cluster.Slice) {
 	for len(s.bySerial) <= sl.Serial {
 		s.bySerial = append(s.bySerial, nil)
@@ -1084,16 +1055,7 @@ func (s *sim) selectProcs(j *workload.Job, now units.Seconds) []placement {
 		// Not enough feasible processors: place the remainder on the
 		// earliest-available ones at the top level (deadline violations
 		// are recorded at completion).
-		if s.par != nil {
-			s.parFallbackCollect(now)
-		} else {
-			s.availBuf = s.availBuf[:0]
-			for id := range s.dc.Procs {
-				if s.takenMark[id] != epoch {
-					s.availBuf = append(s.availBuf, procAvail{id: id, avail: s.dc.AvailableAt(id, now)})
-				}
-			}
-		}
+		s.parFallbackCollect(now)
 		heapifyAvail(s.availBuf)
 		h := s.availBuf
 		top := s.fleet.PM.Table.Top()
@@ -1192,50 +1154,20 @@ func (s *sim) efficiencyOrder() []int {
 // keys. The current order serves as its own tiebreak — the same
 // evolution effOrder implements — and because positions form a
 // permutation the key pairs are all distinct, so an unstable sort is
-// deterministically equal to effOrder's stable one. The serial tier
-// repairs incrementally: only the chips finishScan marked dirty can
+// deterministically equal to effOrder's stable one. The order is
+// repaired incrementally: only the chips finishScan marked dirty can
 // have a different EffRank (the scan DB is the lone dynamic rank
 // input, and it moves one chip at a time), so the clean remainder of
 // effPref is already sorted under (cached rank, position) and the few
-// dirty chips merge back in.
+// dirty chips merge back in. The repair walk is linear in the fleet
+// and runs unsharded; only the full rebuild is sharded.
 func (s *sim) refreshEffOrder() {
 	if s.effCacheOK && !s.effDirtyOverflow && len(s.effDirty) <= len(s.effPref)/8 {
-		// The repair walk is shared by both tiers: the scan DB moves one
-		// chip at a time, so the patch merge is linear in the fleet and
-		// needs no parallel help.
 		s.repairEffOrder()
-	} else if s.par != nil {
-		s.parFullEffOrder()
 	} else {
-		s.fullEffOrder()
+		s.parFullEffOrder()
 	}
 	s.resetEffDirty()
-}
-
-// fullEffOrder is the non-incremental preference rebuild; it also
-// refreshes the rank/position caches the repair path leans on.
-func (s *sim) fullEffOrder() {
-	if s.effKeys == nil {
-		s.effKeys = make([]effKey, len(s.effPref))
-	}
-	if s.effRank == nil {
-		s.effRank = make([]float64, len(s.effPref))
-		s.effPos = make([]int32, len(s.effPref))
-		s.effPref2 = make([]int, 0, len(s.effPref))
-		s.effPatch = make([]effKey, 0, len(s.effPref)/8+8)
-	}
-	for i, id := range s.effPref {
-		r := s.know.EffRank(id)
-		s.effRank[id] = r
-		s.effKeys[i] = effKey{rank: r, pos: int32(i), id: int32(id)}
-	}
-	slices.SortFunc(s.effKeys, effCmp)
-	for i := range s.effKeys {
-		id := int(s.effKeys[i].id)
-		s.effPref[i] = id
-		s.effPos[id] = int32(i)
-	}
-	s.effCacheOK = true
 }
 
 // repairEffOrder merges the dirty chips — re-ranked, keyed by their
@@ -1334,34 +1266,22 @@ func (s *sim) windAbundant() bool {
 
 // leastUsedOrder sorts processors by accumulated utilization time
 // ascending ("historically least-used CPUs"), cached per event time.
-// The serial tier maintains the order incrementally and materializes
-// it lazily: ensureFairPass refreshes the retained sorted sources
-// (idle main list + overlay, per-pass busy keys), and extendFairMemo
-// streams their 3-way merge into fairOrder on demand. This function is
-// the materialize-everything entry point; selectProcs goes through
-// candidateIter instead and pulls only the prefix it consumes. Every
-// emission follows the identical (utilization, id) strict total order
-// the naive reference sorts, so all paths yield the same permutation
-// bit for bit.
+// The order is maintained incrementally per shard and materialized
+// lazily: ensureFairPass refreshes the retained sorted sources, and
+// parExtendFair streams their merge into fairOrder on demand. This
+// function is the materialize-everything entry point; selectProcs goes
+// through candidateIter instead and pulls only the prefix it consumes.
+// Every emission follows the identical (utilization, id) strict total
+// order the naive reference sorts, so all paths yield the same
+// permutation bit for bit.
 func (s *sim) leastUsedOrder(now units.Seconds) []int {
 	if s.cfg.naive {
 		return s.naiveLeastUsedOrder(now)
 	}
 	s.ensureFairPass(now)
-	for s.extendFair() {
+	for s.par.parExtendFair() {
 	}
 	return s.fairOrder
-}
-
-// extendFair appends the next processor of the frozen pass's order to
-// the fairOrder memo through whichever tier maintains the retained
-// sources — the serial 3-way merge or the parallel tier's sharded
-// argmin. Both emit the identical (u, id) sequence.
-func (s *sim) extendFair() bool {
-	if s.par != nil {
-		return s.par.parExtendFair()
-	}
-	return s.extendFairMemo()
 }
 
 // ensureFairPass begins a fair-order pass for the given instant unless
@@ -1369,235 +1289,22 @@ func (s *sim) extendFair() bool {
 // the idle lists, the busy keys, and the fairVer validity stamps — at
 // entry, so cluster mutations later at the same instant do not bleed
 // into an order already being consumed (matching the naive reference,
-// which caches the fully sorted permutation per event time). Dirty
-// work beyond the thresholds, invalid retained lists, or too many
-// accumulated stale entries fall back to the compacting full pass.
-// With the parallel tier attached the pass runs sharded (see
-// parState.fairPass): same sources, same thresholds per shard, repairs
-// executed concurrently over disjoint id ranges.
+// which caches the fully sorted permutation per event time). The pass
+// itself runs per shard (see parState.fairPass).
 func (s *sim) ensureFairPass(now units.Seconds) {
 	if s.fairValid && s.fairOrderAt == now {
 		return
 	}
 	dirty, overflow := s.dc.FairDirty()
-	if s.par != nil {
-		s.par.fairPass(now, dirty, overflow)
-		s.dc.ResetFairDirty()
-		s.fairOrderAt = now
-		s.fairValid = true
-		s.fairOrder = s.fairOrder[:0]
-		return
-	}
-	n := len(s.dc.Procs)
-	staleMax := n / 32
-	if staleMax < 1024 {
-		staleMax = 1024
-	}
-	if s.fairListsOK && !overflow && len(dirty) <= n/8 &&
-		s.fairStale+len(dirty) <= staleMax {
-		s.repairFairPass(now, dirty)
-	} else {
-		s.fullFairPass(now)
-	}
+	s.par.fairPass(now, dirty, overflow)
 	s.dc.ResetFairDirty()
 	s.fairOrderAt = now
 	s.fairValid = true
 	s.fairOrder = s.fairOrder[:0]
-	s.fairII, s.fairEI, s.fairBI = 0, 0, 0
 }
 
-// fullFairPass is the non-incremental rebuild: one sort of the whole
-// fleet that rederives the retained lists the repair passes patch, and
-// the compaction point where stale entries and the overlay are shed.
-func (s *sim) fullFairPass(now units.Seconds) {
-	s.utilBuf = s.dc.UtilTimesInto(s.utilBuf, now)
-	if s.fairKeys == nil {
-		s.fairKeys = make([]utilKey, len(s.utilBuf))
-		for i := range s.fairKeys {
-			s.fairKeys[i].id = i
-		}
-		s.fairOrder = make([]int, 0, len(s.utilBuf))
-		s.fairVer = make([]int32, len(s.utilBuf))
-	}
-	// Re-key in the previous full pass's sorted order: busy processors
-	// all accrue utilization at the same rate, so the permutation only
-	// changes where a busy processor overtakes an idle one. The
-	// nearly-sorted input hits pdqsort's partial-insertion fast path,
-	// and because (u, id) is a strict total order the result is
-	// identical from any starting permutation.
-	for i := range s.fairKeys {
-		s.fairKeys[i].u = s.utilBuf[s.fairKeys[i].id]
-	}
-	slices.SortFunc(s.fairKeys, utilAsc)
-	s.fairIdle = s.fairIdle[:0]
-	s.idleExtra = s.idleExtra[:0]
-	s.fairStale = 0
-	s.fairBusy = s.fairBusy[:0]
-	s.busyKeys = s.busyKeys[:0]
-	for _, k := range s.fairKeys {
-		// Idle keys are exact (no in-flight term), so the partition of
-		// the sorted keys seeds the incremental lists directly. Writing
-		// entries at the processors' current stamps revalidates them
-		// without touching fairVer — abandoned husks all carry older
-		// stamps.
-		if s.dc.IsBusy(k.id) {
-			s.fairBusy = append(s.fairBusy, int32(k.id))
-			s.busyKeys = append(s.busyKeys, k)
-		} else {
-			s.fairIdle = append(s.fairIdle, idleEntry{u: k.u, id: int32(k.id), ver: s.fairVer[k.id]})
-		}
-	}
-	s.fairListsOK = true
-}
-
-// repairFairPass refreshes the pass sources around the dirty set alone.
-// Dirty processors have every old idle entry invalidated by one fairVer
-// bump; the ones idle now contribute one fresh entry merged into the
-// idleExtra overlay, and the ones busy now join the re-keyed busy list.
-// Idle keys are utilTime exactly and busy keys use the same float
-// expression as UtilTimesInto (see Datacenter.UtilAt), so every key
-// equals the one fullFairPass would compute and the streamed merge —
-// under the strict (u, id) order — is identical to the full sort.
-func (s *sim) repairFairPass(now units.Seconds, dirty []int32) {
-	if s.dirtyMark == nil {
-		s.dirtyMark = make([]int64, len(s.dc.Procs))
-	}
-	s.dirtyEpoch++
-	for _, id := range dirty {
-		s.dirtyMark[id] = s.dirtyEpoch
-		s.fairVer[id]++
-	}
-	s.fairStale += len(dirty)
-
-	// Re-key the busy carry-over in its retained order. In real
-	// arithmetic every continuously busy processor's key shifts by the
-	// same amount between passes, so the carried order is preserved;
-	// float rounding can flip near-ties by an ulp, so any re-keyed
-	// element that lands below its predecessor is extracted into the
-	// busy patch instead of trusted. The clean majority then needs no
-	// sort at all — only the small patch (extracted flips plus dirty
-	// processors that are busy now) is sorted and merged back, which is
-	// what keeps this pass linear in the busy minority, not the fleet.
-	busy := s.busyKeys[:0]
-	bpatch := s.busyPatch[:0]
-	for _, id := range s.fairBusy {
-		if s.dirtyMark[id] == s.dirtyEpoch {
-			continue
-		}
-		k := utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)}
-		if n := len(busy); n > 0 && utilAsc(k, busy[n-1]) < 0 {
-			bpatch = append(bpatch, k)
-		} else {
-			busy = append(busy, k)
-		}
-	}
-	patch := s.idlePatch[:0]
-	for _, id := range dirty {
-		if s.dc.IsBusy(int(id)) {
-			bpatch = append(bpatch, utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)})
-		} else {
-			patch = append(patch, idleEntry{u: s.dc.UtilTimeOf(int(id)), id: id, ver: s.fairVer[id]})
-		}
-	}
-	slices.SortFunc(bpatch, utilAsc)
-	if len(bpatch) > 0 {
-		// Merge the sorted clean majority with the sorted patch; under
-		// the strict (u, id) order the merge equals the full sort.
-		merged := s.busyKeys2[:0]
-		bj := 0
-		for _, k := range busy {
-			for bj < len(bpatch) && utilAsc(bpatch[bj], k) < 0 {
-				merged = append(merged, bpatch[bj])
-				bj++
-			}
-			merged = append(merged, k)
-		}
-		merged = append(merged, bpatch[bj:]...)
-		busy, s.busyKeys2 = merged, busy[:0]
-	}
-	s.busyKeys = busy
-	s.busyPatch = bpatch[:0]
-
-	// The carry for the next pass is this pass's busy list.
-	s.fairBusy = s.fairBusy[:0]
-	for _, k := range busy {
-		s.fairBusy = append(s.fairBusy, int32(k.id))
-	}
-
-	// Fold the freshly idle keys into the overlay. The main idle list is
-	// untouched — the dirty processors' entries there are already dead
-	// via the stamp bump — so this costs the overlay's size, which
-	// compaction keeps a small fraction of the fleet.
-	if len(patch) > 0 {
-		slices.SortFunc(patch, idleAsc)
-		merged := s.idleScratch[:0]
-		j := 0
-		for _, k := range s.idleExtra {
-			for j < len(patch) && idleAsc(patch[j], k) < 0 {
-				merged = append(merged, patch[j])
-				j++
-			}
-			merged = append(merged, k)
-		}
-		merged = append(merged, patch[j:]...)
-		s.idleExtra, s.idleScratch = merged, s.idleExtra[:0]
-	}
-	s.idlePatch = patch[:0]
-}
-
-// extendFairMemo appends the next processor of the frozen pass's order
-// to the fairOrder memo, returning false once the fleet is exhausted.
-// It merges three sorted sources — the main idle list, the idleExtra
-// overlay (both skipping entries whose version stamp is stale), and
-// the per-pass busy keys. Validity is frozen with the pass: stamps
-// only move in repairFairPass, so a processor placed mid-pass keeps
-// its pass-entry position exactly as the cached-permutation semantics
-// require. At most one idle entry per processor is valid and busy
-// processors never have one, so the heads are always three distinct
-// (u, id) keys and the strict comparison needs no dedup.
-func (s *sim) extendFairMemo() bool {
-	for s.fairII < len(s.fairIdle) && s.fairIdle[s.fairII].ver != s.fairVer[s.fairIdle[s.fairII].id] {
-		s.fairII++
-	}
-	for s.fairEI < len(s.idleExtra) && s.idleExtra[s.fairEI].ver != s.fairVer[s.idleExtra[s.fairEI].id] {
-		s.fairEI++
-	}
-	var (
-		bu  units.Seconds
-		bid int
-		src int // 0 none, 1 main idle, 2 overlay, 3 busy
-	)
-	if s.fairII < len(s.fairIdle) {
-		e := s.fairIdle[s.fairII]
-		bu, bid, src = e.u, int(e.id), 1
-	}
-	if s.fairEI < len(s.idleExtra) {
-		if e := s.idleExtra[s.fairEI]; src == 0 || e.u < bu || (e.u == bu && int(e.id) < bid) {
-			bu, bid, src = e.u, int(e.id), 2
-		}
-	}
-	if s.fairBI < len(s.busyKeys) {
-		if k := s.busyKeys[s.fairBI]; src == 0 || k.u < bu || (k.u == bu && k.id < bid) {
-			bid, src = k.id, 3
-		}
-	}
-	switch src {
-	case 0:
-		return false
-	case 1:
-		s.fairII++
-	case 2:
-		s.fairEI++
-	default:
-		s.fairBI++
-	}
-	s.fairOrder = append(s.fairOrder, bid)
-	return true
-}
-
-// candIter streams a candidate order. For the fair-abundant path —
-// serial or parallel — it materializes the order lazily through the
-// pass memo: every iterator at the same instant replays the shared
+// candIter streams a candidate order. For the fair-abundant path it
+// materializes the order lazily through the pass memo: every iterator at the same instant replays the shared
 // prefix, and only the frontier consumer extends it, so a placement
 // pass over a mostly-idle million-processor fleet touches dozens of
 // entries, not the fleet. All other policies wrap the eagerly built
@@ -1628,7 +1335,7 @@ func (it *candIter) next() (int, bool) {
 	}
 	s := it.s
 	for it.pos >= len(s.fairOrder) {
-		if !s.extendFair() {
+		if !s.par.parExtendFair() {
 			return 0, false
 		}
 	}
@@ -1730,33 +1437,7 @@ func (s *sim) qualityMetrics() (meanSlow, p95Slow float64, meanWait units.Second
 	if s.cfg.naive {
 		return s.naiveQualityMetrics()
 	}
-	if s.par != nil {
-		return s.parQualityMetrics()
-	}
-	slows := s.slowsBuf[:0]
-	var waitSum float64
-	for i := range s.states {
-		st := &s.states[i]
-		span := float64(st.finish - st.job.Submit)
-		runtime := math.Max(float64(st.job.Runtime), 10)
-		slows = append(slows, math.Max(1, span/runtime))
-		if w := span - float64(st.job.Runtime); w > 0 {
-			waitSum += w
-		}
-	}
-	s.slowsBuf = slows
-	if len(slows) == 0 {
-		return 0, 0, 0
-	}
-	slices.Sort(slows)
-	var sum float64
-	for _, v := range slows {
-		sum += v
-	}
-	meanSlow = sum / float64(len(slows))
-	p95Slow = slows[len(slows)*95/100]
-	meanWait = units.Seconds(waitSum / float64(len(slows)))
-	return meanSlow, p95Slow, meanWait
+	return s.parQualityMetrics()
 }
 
 // onTick refreshes the wind budget, runs the power-matching loop, and
@@ -1783,59 +1464,13 @@ func (s *sim) onTick(now units.Seconds) {
 
 // rebalance migrates queued slices that would miss their deadlines to
 // processors where they still fit, walking the policy's preference
-// order for targets. Candidates accumulate in a reused buffer and sort
-// by the strict total order (estStart desc, job, proc).
+// order for targets (see parRebalance).
 func (s *sim) rebalance(now units.Seconds) {
 	if s.cfg.naive {
 		s.naiveRebalance(now)
 		return
 	}
-	if s.par != nil {
-		s.parRebalance(now)
-		return
-	}
-	cands := s.candBuf[:0]
-	s.dc.QueueEstimates(func(sl *cluster.Slice, estStart units.Seconds) {
-		d := sl.Job.Deadline
-		if d <= 0 {
-			return
-		}
-		if estStart+s.dc.SliceDuration(sl, sl.AssignedLevel) > d {
-			cands = append(cands, rebalCand{sl, estStart})
-		}
-	})
-	s.candBuf = cands
-	if len(cands) == 0 {
-		return
-	}
-	// Most-endangered first (latest estimated start), deterministic ties.
-	slices.SortFunc(cands, rebalCandCmp)
-	order := s.candidateOrder(now, false)
-	for _, c := range cands {
-		sl := c.sl
-		for _, id := range order {
-			if id == sl.ProcID {
-				continue
-			}
-			avail := s.dc.AvailableAt(id, now)
-			maxTime := sl.Job.Deadline - avail
-			if maxTime <= 0 {
-				continue
-			}
-			level, ok := s.chooseLevel(id, sl.Job, maxTime, false)
-			if !ok {
-				continue
-			}
-			started, err := s.dc.Migrate(sl, id, level, now)
-			if err != nil {
-				break // raced with a start; leave it be
-			}
-			if started != nil {
-				s.scheduleCompletion(started)
-			}
-			break
-		}
-	}
+	s.parRebalance(now)
 }
 
 // rebalCandCmp orders rebalance candidates most-endangered first —
@@ -2069,24 +1704,16 @@ func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice 
 		}
 		s.lastSlackDesc = desc
 	}
-	// Slices that started running since the previous pass. The parallel
-	// tier shards the per-processor scan — the dominant O(fleet) part of
-	// a retained pass — and concatenates the worker arenas in shard
-	// order, which is id order, so the patch sequence is identical.
-	if p := s.par; p != nil {
-		p.pool.Run(len(s.dc.Procs), p.runColK)
-		for i := range p.w {
-			for _, cur := range p.w[i].run {
-				patchK = append(patchK, slackEntry{slack: slack(cur, now), idx: int32(len(patchS)), procID: int32(cur.ProcID)})
-				patchS = append(patchS, cur)
-			}
-		}
-	} else {
-		for _, cur := range s.dc.CurrentView() {
-			if cur != nil && s.runStamp[cur.Serial] != s.runEpoch {
-				patchK = append(patchK, slackEntry{slack: slack(cur, now), idx: int32(len(patchS)), procID: int32(cur.ProcID)})
-				patchS = append(patchS, cur)
-			}
+	// Slices that started running since the previous pass: a sharded
+	// scan of the per-processor running view — the dominant O(fleet)
+	// part of a retained pass — whose worker arenas concatenate in
+	// shard order, which is id order.
+	p := s.par
+	p.pool.Run(len(s.dc.Procs), p.runColK)
+	for i := range p.w {
+		for _, cur := range p.w[i].run {
+			patchK = append(patchK, slackEntry{slack: slack(cur, now), idx: int32(len(patchS)), procID: int32(cur.ProcID)})
+			patchS = append(patchS, cur)
 		}
 	}
 	s.runBuf = patchS
@@ -2094,27 +1721,12 @@ func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice 
 
 	if len(patchK) > baseN/4+8 {
 		// Too much churn for a merge to win: rebuild wholesale from the
-		// combined candidate list, exactly the retained full path. The
-		// parallel tier shard-sorts the keys and merges; (slack, procID)
-		// is strict, so either path emits the unique sorted permutation.
+		// combined candidate list with a shard sort and merge of the
+		// keys; (slack, procID) is strict, so the rebuild emits the
+		// unique sorted permutation.
 		running := append(baseS[:baseN], patchS...)
 		s.runSorted = running
-		var keys []slackEntry
-		if s.par != nil && len(running) > 0 {
-			keys = s.parSlackRebuild(running, now, desc)
-		} else {
-			kb := s.slackBuf[:0]
-			for i, sl := range running {
-				kb = append(kb, slackEntry{slack: slack(sl, now), idx: int32(i), procID: int32(sl.ProcID)})
-			}
-			s.slackBuf = kb
-			if desc {
-				slices.SortFunc(kb, slackDesc)
-			} else {
-				slices.SortFunc(kb, slackAsc)
-			}
-			keys = kb
-		}
+		keys := s.parSlackRebuild(running, now, desc)
 		// Apply the sorted permutation through a scratch copy (the
 		// in-place running slice is both source and destination).
 		scratch := append(s.runSorted2[:0], running...)

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"testing"
 
 	"iscope/internal/scheduler"
@@ -204,6 +205,48 @@ func TestSubmitDecodeRejections(t *testing.T) {
 
 	if st := tenantStatus(t, h, "decode"); st.Jobs != 0 {
 		t.Fatalf("rejected submissions injected %d jobs", st.Jobs)
+	}
+}
+
+// TestCreateRejectsWorkerCount: every worker is a goroutine and a
+// scratch arena, so a worker count outside [0, maxWorkers] is a 422
+// invalid_spec that leaves no tenant and starts no goroutine.
+func TestCreateRejectsWorkerCount(t *testing.T) {
+	srv := New()
+	defer srv.Close()
+	h := srv.Handler()
+	before := runtime.NumGoroutine()
+	// The huge count goes last: without the bound it would try to
+	// allocate an arena per worker, so a regression fails fast on the
+	// small one first.
+	for _, workers := range []int{maxWorkers + 1, -1, 100000000} {
+		spec := testSpec("wide")
+		spec.Workers = workers
+		rec := do(t, h, "POST", "/v1/tenants", spec)
+		wantStatus(t, rec, http.StatusUnprocessableEntity)
+		var env struct {
+			Error *APIError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_spec" {
+			t.Fatalf("workers=%d: error %s, want invalid_spec", workers, rec.Body.String())
+		}
+	}
+	wantStatus(t, do(t, h, "GET", "/v1/tenants/wide", nil), http.StatusNotFound)
+	rec := do(t, h, "GET", "/v1/tenants", nil)
+	wantStatus(t, rec, http.StatusOK)
+	var list []StatusResponse
+	if err := json.Unmarshal(rec.Body.Bytes(), &list); err != nil || len(list) != 0 {
+		t.Fatalf("tenant list after rejected creates: %s (err %v)", rec.Body.String(), err)
+	}
+	// Goroutines of earlier tests may still be winding down, so only a
+	// rise counts.
+	if got := runtime.NumGoroutine(); got > before {
+		t.Fatalf("rejected creates left %d goroutines, want at most %d", got, before)
+	}
+	ok := testSpec("ok")
+	ok.Workers = maxWorkers
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("workers=maxWorkers rejected: %v", err)
 	}
 }
 

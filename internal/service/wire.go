@@ -44,12 +44,19 @@ type TenantSpec struct {
 	// Invariants enables the online runtime-verification monitor in
 	// record mode; violations surface in the tenant status.
 	Invariants bool `json:"invariants,omitempty"`
-	// Workers shards the per-timestamp scheduling kernels.
+	// Workers shards the per-timestamp scheduling kernels over this
+	// many workers; 0 and 1 run them inline. At most maxWorkers.
 	Workers int `json:"workers,omitempty"`
 	// Admission selects the job-admission policy; nil admits
 	// everything.
 	Admission *AdmissionSpec `json:"admission,omitempty"`
 }
+
+// maxWorkers caps TenantSpec.Workers. Each worker is a goroutine and a
+// scratch arena per tenant, so an unbounded count from the wire could
+// exhaust the daemon's memory; 64 is well above any count the
+// benchmarks sweep.
+const maxWorkers = 64
 
 // WindSpec derives a deterministic wind trace for a tenant: Days of
 // synthetic weather from Seed, scaled so the mean covers MeanFrac of
@@ -78,6 +85,9 @@ func (sp *TenantSpec) Validate() error {
 	}
 	if sp.Procs <= 0 {
 		return fmt.Errorf("procs must be positive, got %d", sp.Procs)
+	}
+	if sp.Workers < 0 || sp.Workers > maxWorkers {
+		return fmt.Errorf("workers must be in [0, %d], got %d", maxWorkers, sp.Workers)
 	}
 	if sp.Wind != nil {
 		w := sp.Wind
