@@ -47,7 +47,7 @@ func main() {
 		csvDir  = flag.String("csvdir", "", "also write machine-readable CSVs into this directory")
 		plotDir = flag.String("plotdir", "", "also write gnuplot bundles (.dat + .gp) into this directory")
 
-		parallel    = flag.Int("parallel", 0, "worker count for each cell's sharded scheduling kernels (0/1 = serial; results are bit-identical for every value)")
+		parallel    = flag.Int("parallel", 0, "worker count for each cell's sharded fair-order pass, the one parallel scheduling kernel (0/1 = serial; results are bit-identical for every value)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per grid cell (0 = unlimited)")
 		retries     = flag.Int("retries", 0, "extra attempts for a failed grid cell")
 		manifestDir = flag.String("manifest", "", "persist completed grid cells here; an interrupted run resumes only the missing ones")

@@ -115,7 +115,7 @@ func main() {
 	flag.BoolVar(&o.trace, "trace", false, "sample the power trace every 350 s and print it")
 	flag.BoolVar(&o.online, "online", false, "profile opportunistically during the run instead of pre-scanning")
 	flag.Float64Var(&o.battery, "battery", 0, "on-site battery capacity in kWh (0 = none)")
-	flag.IntVar(&o.parallel, "parallel", 0, "worker count for the sharded scheduling kernels (0/1 = serial; results are bit-identical for every value)")
+	flag.IntVar(&o.parallel, "parallel", 0, "worker count for the sharded fair-order pass, the one parallel scheduling kernel (0/1 = serial; results are bit-identical for every value)")
 
 	// Faults: deterministic injection compiled from the master seed.
 	// -faults enables the full default environment; the per-class flags

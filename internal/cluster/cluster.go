@@ -72,7 +72,7 @@ func (s *Slice) Remaining() float64 { return s.remaining }
 // datacenter's structure-of-arrays state: the mutable fields (running
 // slice, queue, utilization, offline flags) live in flat parallel
 // slices on Datacenter, indexed by ID, so fleet-order walks and the
-// sharded kernels stream contiguous memory instead of chasing
+// sharded fair pass stream contiguous memory instead of chasing
 // per-processor pointers. The view keeps the familiar accessor API for
 // tests, checkpoint codecs and cold paths.
 type Processor struct {
@@ -178,9 +178,9 @@ func (q *sliceQueue) reset() {
 // Datacenter is the simulated facility. Mutable per-processor state is
 // held in flat parallel arrays indexed by processor ID (structure of
 // arrays): the hot kernels — utilization fills, availability
-// snapshots, running-slice collection, queue estimates — walk these
-// arrays linearly, and the PR-5 shard ranges become contiguous array
-// windows. Processor is a view over the same arrays.
+// lookups, running-slice collection, queue estimates — walk these
+// arrays linearly, and the fair pass's shard ranges become contiguous
+// array windows. Processor is a view over the same arrays.
 type Datacenter struct {
 	Procs []*Processor
 
@@ -577,7 +577,19 @@ func (dc *Datacenter) Migrate(s *Slice, toProc, level int, now units.Seconds) (*
 // start time under the current DVFS levels. Slices queued behind a
 // profiling session (offline processor) get a +Inf estimate.
 func (dc *Datacenter) QueueEstimates(fn func(s *Slice, estStart units.Seconds)) {
-	dc.QueueEstimatesShard(0, len(dc.Procs), fn)
+	for id := range dc.queues {
+		if dc.queues[id].len() == 0 {
+			continue
+		}
+		t := units.Seconds(math.Inf(1))
+		if cur := dc.current[id]; cur != nil {
+			t = cur.Finish
+		}
+		for _, q := range dc.queues[id].items() {
+			fn(q, t)
+			t += dc.SliceDuration(q, q.AssignedLevel)
+		}
+	}
 }
 
 // OfflineCount returns the number of processors currently isolated.
@@ -786,35 +798,6 @@ func (dc *Datacenter) UtilShard(dst []units.Seconds, now units.Seconds, lo, hi i
 			u += now - dc.busySince[id]
 		}
 		dst[id] = u
-	}
-}
-
-// AvailShard fills dst[id] for id in [lo, hi) with AvailableAt(id,
-// now) — a structure-of-arrays snapshot of the fleet's availability,
-// safe to fill concurrently across disjoint ranges.
-func (dc *Datacenter) AvailShard(dst []units.Seconds, now units.Seconds, lo, hi int) {
-	for id := lo; id < hi; id++ {
-		dst[id] = dc.AvailableAt(id, now)
-	}
-}
-
-// QueueEstimatesShard is QueueEstimates restricted to processors
-// [lo, hi): fn sees exactly the (slice, estimated start) pairs the
-// full walk reports for those processors, in the same order. fn must
-// only touch caller-shard state when ranges run concurrently.
-func (dc *Datacenter) QueueEstimatesShard(lo, hi int, fn func(s *Slice, estStart units.Seconds)) {
-	for id := lo; id < hi; id++ {
-		if dc.queues[id].len() == 0 {
-			continue
-		}
-		t := units.Seconds(math.Inf(1))
-		if cur := dc.current[id]; cur != nil {
-			t = cur.Finish
-		}
-		for _, q := range dc.queues[id].items() {
-			fn(q, t)
-			t += dc.SliceDuration(q, q.AssignedLevel)
-		}
 	}
 }
 

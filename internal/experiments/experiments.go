@@ -43,7 +43,7 @@ type Options struct {
 	// SimWorkers is the per-run kernel worker count forwarded to
 	// scheduler.RunConfig.Workers for every grid cell whose config does
 	// not set its own: values above one shard each simulation's
-	// per-timestamp kernels across that many workers. Results are
+	// fair-order pass across that many workers. Results are
 	// bit-identical for any value; only wall-clock changes. 0 or 1 runs
 	// each cell serially (grid-level fan-out usually saturates the
 	// machine on its own).

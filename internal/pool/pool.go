@@ -8,7 +8,7 @@
 // This is deliberately the *coarse* pool: items are independent and
 // arbitrarily sized, order of execution does not matter, and results
 // are collected by the caller under its own lock. The scheduler's
-// per-timestamp kernels use internal/shard instead, where work
+// sharded fair-order pass uses internal/shard instead, where work
 // assignment must be deterministic.
 package pool
 

@@ -2,6 +2,7 @@ package profiling
 
 import (
 	"math"
+	"reflect"
 	"testing"
 
 	"iscope/internal/power"
@@ -166,6 +167,37 @@ func TestScanFleetParallelMatchesSerial(t *testing.T) {
 				t.Fatalf("parallel and serial scans disagree: chip %d level %d", id, l)
 			}
 		}
+	}
+}
+
+// TestNoisyScanFleetSameAtAnyWorkers: a noisy tester gives every chip
+// its own noise stream, so a fleet scan writes the same DB records
+// whether one worker or four fan the chips out (and, under -race, the
+// workers share no stream).
+func TestNoisyScanFleetSameAtAnyWorkers(t *testing.T) {
+	const n = 64
+	ids := make([]int, n)
+	for i := range ids {
+		ids[i] = i
+	}
+	scan := func(workers int) []Record {
+		_, tester, tbl := setup(t, n, 0.01)
+		cfg := DefaultConfig()
+		cfg.Workers = workers
+		s := newScanner(t, cfg, tester, tbl, n)
+		s.ScanFleet(ids, 0)
+		return s.DB().Records()
+	}
+	want, got := scan(1), scan(4)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatal("noisy fleet scan wrote different records at Workers 1 and 4")
+	}
+	// The noise must reach the records, or the check above is vacuous.
+	_, ideal, tbl := setup(t, n, 0)
+	s := newScanner(t, DefaultConfig(), ideal, tbl, n)
+	s.ScanFleet(ids, 0)
+	if reflect.DeepEqual(want, s.DB().Records()) {
+		t.Fatal("noisy scan recorded exactly the noise-free margins")
 	}
 }
 

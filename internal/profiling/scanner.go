@@ -146,8 +146,8 @@ func (s *Scanner) ScanChip(id int, now units.Seconds) ChipReport {
 
 // ScanFleet profiles the given chips, parallelized across profiling
 // domains (worker goroutines). Results land in the DB; the report
-// aggregates cost. Deterministic only when the tester is noise-free,
-// since noisy measurements draw from a shared stream in worker order.
+// aggregates cost. The DB records are the same at every worker count,
+// noisy testers included: each chip draws from its own noise stream.
 func (s *Scanner) ScanFleet(ids []int, now units.Seconds) FleetReport {
 	workers := s.cfg.Workers
 	if workers <= 0 {

@@ -54,7 +54,11 @@ type Tester struct {
 	// threshold, outcomes become probabilistic, as on real hardware
 	// where marginal points pass or fail run to run.
 	noise float64
-	r     *rng.Rand
+	// rs holds one noise stream per chip, so scans of distinct chips
+	// may run concurrently and each chip's draws do not depend on the
+	// order chips are scanned in. nil when noise is 0: ideal
+	// measurements draw nothing.
+	rs []*rng.Rand
 }
 
 // VoltageTable abstracts the DVFS table: nominal voltage per level.
@@ -64,20 +68,29 @@ type VoltageTable interface {
 }
 
 // NewTester builds a tester over a fleet. noiseSigma of 0 gives ideal
-// (deterministic) measurements.
+// measurements and leaves r untouched; a positive noiseSigma splits one
+// stream per chip off r, in chip order.
 func NewTester(chips []*variation.Chip, tbl VoltageTable, noiseSigma float64, r *rng.Rand) *Tester {
-	return &Tester{chips: chips, tbl: tbl, noise: noiseSigma, r: r}
+	t := &Tester{chips: chips, tbl: tbl, noise: noiseSigma}
+	if noiseSigma > 0 {
+		t.rs = make([]*rng.Rand, len(chips))
+		for i := range t.rs {
+			t.rs[i] = r.Split("chip")
+		}
+	}
+	return t
 }
 
 // Run executes one stability test on chip id at DVFS level l and supply
 // voltage v, returning true if the chip passed (all cores produced
 // correct results). gpuOn selects the feature configuration under test
-// (Section III.C's on-demand profiling).
+// (Section III.C's on-demand profiling). Tests of distinct chips may
+// run concurrently.
 func (t *Tester) Run(id, l int, v units.Volts, gpuOn bool) bool {
 	trueMin := t.chips[id].MinVdd(l, float64(t.tbl.VnomAt(l)), gpuOn)
 	threshold := trueMin
 	if t.noise > 0 {
-		threshold += t.r.Normal(0, t.noise)
+		threshold += t.rs[id].Normal(0, t.noise)
 	}
 	return float64(v) >= threshold
 }

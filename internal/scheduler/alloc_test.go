@@ -12,14 +12,14 @@ import (
 
 // allocWorkers is the worker-count sweep of the steady-state guards:
 // one worker is the inline single-shard pool every serial run uses, the
-// others are the counts the benchmarks measure. The shard arenas are
-// per worker, so a hidden allocation in one kernel would scale with
+// others are the counts the benchmarks measure. The fair-order shards
+// are per worker, so a hidden allocation in the pass would scale with
 // the fleet at exactly these counts.
 var allocWorkers = []int{1, 2, 4, 8}
 
 // warmSim builds a mid-simulation sim on a kernel pool of the given
 // width by stepping the event loop until roughly half the jobs have
-// finished, so the scratch buffers and shard arenas have reached their
+// finished, so the scratch buffers and fair-order shards have reached their
 // steady-state capacities and the hot paths can be measured in a
 // representative state.
 func warmSim(t *testing.T, workers int) *sim {
@@ -67,8 +67,8 @@ type allocKernel struct {
 // allocKernels lists the per-event kernels of a warm sim: placement,
 // both directions of the matching sort, rebalance, the end-of-run
 // statistics, and the fair and efficiency orders' refresh paths. The
-// kernels bind their closures at construction and ping-pong through
-// merger-owned buffers, so once warm they must not allocate.
+// kernels reuse sim-owned scratch and the fair pass binds its kernel at
+// construction, so once warm they must not allocate.
 func allocKernels(s *sim) []allocKernel {
 	now := s.eng.Now()
 	j := s.states[len(s.states)-1].job
@@ -193,7 +193,7 @@ func TestParallelIncrementalRepairAllocFree(t *testing.T) {
 				s.fairValid = false
 				_ = s.leastUsedOrder(now)
 			}
-			fairRepair() // warm: the full shard rebuild sizes the arenas
+			fairRepair() // warm: the full shard rebuild sizes the lists
 			fairRepair() // warm: the first repair sizes the patch scratch
 			measure(t, "fairPass(repair)", fairRepair)
 

@@ -1,60 +1,33 @@
 package scheduler
 
 import (
-	"math"
 	"slices"
 
-	"iscope/internal/cluster"
 	"iscope/internal/shard"
 	"iscope/internal/units"
-	"iscope/internal/workload"
 )
 
-// This file holds the per-timestamp scheduling kernels, each split
-// across fixed shards of the proc (or job) population. Every optimized
-// run attaches them at pool width max(1, RunConfig.Workers); a
-// one-worker pool owns no goroutines and calls each kernel inline over
-// the single shard [0, n), so a serial run is simply the one-shard
-// case of the same code:
+// This file holds the one sharded scheduling kernel: ScanFair's
+// least-used order, the paper's lifetime-balancing policy and the
+// costliest kernel in CPU profiles. Every optimized run attaches it at
+// pool width max(1, RunConfig.Workers); a one-worker pool owns no
+// goroutines and runs the pass inline over the single shard [0, n), so
+// a serial run is simply the one-shard case of the same code. Every
+// other kernel runs serially on the event goroutine.
 //
-//   - incremental maintenance of the retained fair order: each shard
-//     keeps versioned idle lists and a busy carry for its id range,
-//     repairs them around the cluster's dirty feed, and the order
-//     materializes lazily by an argmin merge over the shard heads — a
-//     pass costs O((busy + dirty + consumed prefix)/workers + merge),
-//     not O(fleet log fleet);
-//   - per-shard fills of flat structure-of-arrays snapshots
-//     (utilization, availability) indexed by processor id;
-//   - per-shard sorts of pointer-free sort keys (utilKey, slackEntry,
-//     effKey), merged by an order-preserving pairwise merge tree — the
-//     efficiency order's full rebuild and the slack order's churn
-//     rebuild, which also seed the incremental repair caches in sim.go
-//     so the common pass is a cheap repair, not a rebuild;
-//   - a block-cyclic parallel find-first for rebalance target search.
-//
-// Every comparator involved is a strict total order, so a shard repair
-// + lazy merge — like a shard sort + stable merge — yields the unique
-// sorted permutation for any worker count. Shard boundaries, the
-// per-shard full-vs-repair choice, and merge pairing depend only on
-// (n, Workers) and affect performance alone; reductions that are
-// sensitive to float association (wait sums, the sorted slowdown sum)
-// run in a fixed order on the event goroutine. Worker count therefore
-// never leaks into results or checkpoints.
-//
-// All kernels and the rebalance predicate are bound once at
-// construction and pass their arguments through parState fields, so
-// steady-state dispatch allocates nothing.
-
-// parWorker is one worker's private scratch arena. Workers only ever
-// write their own arena during a parallel phase; the main goroutine
-// concatenates in shard order afterwards, which keeps collection
-// results identical to a serial id-order walk.
-type parWorker struct {
-	run   []*cluster.Slice
-	cands []rebalCand
-	avail []procAvail
-	estFn func(*cluster.Slice, units.Seconds)
-}
+// Each fairShard retains the idle lists and busy carry for its id
+// range; fairPass repairs (or rebuilds) every shard in parallel around
+// the cluster's dirty feed, and the order materializes lazily:
+// parExtendFair takes the argmin over the shard heads — at most Workers
+// compares per emission — so a placement pass consumes only the prefix
+// it needs. A pass costs O((busy + dirty)/workers), not
+// O(fleet log fleet), plus O(Workers) per emitted id. Every per-shard
+// source is sorted under the strict (u, id) order and the shards' id
+// ranges are disjoint, so the merged emission sequence is the unique
+// global sorted permutation wherever the shard boundaries fall.
+// Boundaries and the per-shard full-vs-repair choice depend only on
+// (n, Workers) and affect performance alone, so the worker count never
+// leaks into results or checkpoints.
 
 // fairShard is one shard's retained fair-order state over the
 // processor ids in [lo, hi). Idle processors' utilization keys are
@@ -95,15 +68,13 @@ type fairShard struct {
 	headSrc    int8 // 0 none, 1 main idle, 2 overlay, 3 busy
 }
 
-// parState carries the worker pool, per-worker arenas, SoA snapshots
-// and prebound kernels for one simulation. Everything here is either
-// per-call scratch or derived cache (the fair shards) — never
-// authoritative simulation state — so checkpoint and restore never
-// touch it.
+// parState carries the worker pool and the sharded fair order for one
+// simulation. Everything here is derived cache, rebuilt from the
+// cluster on demand — never authoritative simulation state — so
+// checkpoint and restore never touch it.
 type parState struct {
 	s    *sim
 	pool *shard.Pool
-	w    []parWorker
 
 	// Sharded retained fair order (see fairShard) plus the pass inputs
 	// published to the repair kernel. fairVer is each processor's
@@ -119,80 +90,25 @@ type parState struct {
 	dirtyEpoch    int64
 	utilBuf       []units.Seconds
 
-	// avail[id] is a per-phase snapshot of dc.AvailableAt(id, now),
-	// refreshed after every mutation inside the phase, so the target
-	// search does not recompute AvailableAt per (candidate, target).
-	avail   []units.Seconds
-	running []*cluster.Slice
-	starts  []int
-
-	// Kernel arguments, published to workers by Pool.Run's dispatch
-	// (channel send happens-before the worker's read).
-	now     units.Seconds
-	desc    bool
-	epoch   int64
-	order   []int
-	job     *workload.Job
-	srcProc int
-
-	// Kernels and the rebalance predicate, bound once so per-event
-	// dispatch does not allocate closures.
-	fairRepK   func(int, int, int)
-	runColK    func(int, int, int)
-	slackKeyK  func(int, int, int)
-	fbColK     func(int, int, int)
-	candColK   func(int, int, int)
-	availFillK func(int, int, int)
-	slowsFillK func(int, int, int)
-	effKeyK    func(int, int, int)
-	rebalPred  func(int) bool
-
-	slackMerge *shard.Merger[slackEntry]
-	effMerge   *shard.Merger[effKey]
-	slowMerge  *shard.Merger[float64]
+	// now is the pass instant, published to workers by Pool.Run's
+	// dispatch (channel send happens-before the worker's read), and
+	// fairRepK the pass kernel, bound once so dispatch does not
+	// allocate a closure.
+	now      units.Seconds
+	fairRepK func(int, int, int)
 }
 
-// newParState builds the kernel tier: the shard pool, per-worker
-// arenas and the prebound kernels. The id- and position-indexed
-// buffers the kernels fill by index are sized by each kernel on first
-// use, on the event goroutine, so a run pays only for the orders its
-// policy consumes.
+// newParState builds the fair-order tier: the shard pool and one
+// retained shard per worker. The id-indexed buffers are sized by the
+// first pass, on the event goroutine, so a run whose policy never asks
+// for the fair order pays nothing for it.
 func newParState(s *sim, workers int) *parState {
 	p := &parState{
 		s:      s,
 		pool:   shard.NewPool(workers),
-		w:      make([]parWorker, workers),
 		fairSh: make([]fairShard, workers),
 	}
-	for i := range p.w {
-		w := &p.w[i]
-		w.estFn = func(sl *cluster.Slice, estStart units.Seconds) {
-			d := sl.Job.Deadline
-			if d <= 0 {
-				return
-			}
-			if estStart+s.dc.SliceDuration(sl, sl.AssignedLevel) > d {
-				w.cands = append(w.cands, rebalCand{sl, estStart})
-			}
-		}
-	}
 	p.fairRepK = p.fairShardPass
-	p.runColK = p.runCollect
-	p.slackKeyK = p.slackKeyFill
-	p.fbColK = p.fbCollect
-	p.candColK = p.candCollect
-	p.availFillK = p.availFill
-	p.slowsFillK = p.slowsFill
-	p.effKeyK = p.effKeyFill
-	p.rebalPred = p.rebalTarget
-	p.slackMerge = shard.NewMerger(p.pool, func(a, b slackEntry) int {
-		if p.desc {
-			return slackDesc(a, b)
-		}
-		return slackAsc(a, b)
-	})
-	p.effMerge = shard.NewMerger(p.pool, effCmp)
-	p.slowMerge = shard.NewMerger(p.pool, cmpFloat)
 	return p
 }
 
@@ -203,58 +119,6 @@ func (s *sim) close() {
 		s.par.pool.Close()
 	}
 }
-
-// ensureKnow pre-syncs version-checked knowledge caches on the event
-// goroutine. ScanKnowledge.ensure rebuilds flat tables when the
-// profiling DB's write version moved; that rebuild is a mutation, so
-// it must happen before a parallel phase starts calling EstPower or
-// EffRank concurrently. The DB version only moves at discrete events
-// (a scan landing, a fault), never inside a phase, so after this call
-// every concurrent lookup is a pure read.
-func (s *sim) ensureKnow() {
-	switch k := s.know.(type) {
-	case *ScanKnowledge:
-		k.ensure()
-	case *HybridKnowledge:
-		k.scan.ensure()
-	}
-}
-
-// shardStarts returns the run-start offsets matching the shard ranges
-// Pool.Run used over n elements — the merge tree's description of the
-// per-shard sorted runs.
-func (p *parState) shardStarts(n int) []int {
-	k := p.pool.Workers()
-	st := p.starts[:0]
-	for sh := 0; sh < k; sh++ {
-		lo, _ := shard.Range(n, k, sh)
-		st = append(st, lo)
-	}
-	p.starts = st
-	return st
-}
-
-func cmpFloat(a, b float64) int {
-	if a < b {
-		return -1
-	}
-	if a > b {
-		return 1
-	}
-	return 0
-}
-
-// --- least-used (fair) order ---------------------------------------
-//
-// Each fairShard retains the idle lists and busy carry for its id
-// range; fairPass repairs (or rebuilds) every shard in parallel, and
-// the order materializes lazily: parExtendFair takes the argmin over
-// the shard heads — at most Workers compares per emission — so a
-// placement pass consumes only the prefix it needs. Every per-shard
-// source is sorted under the strict (u, id) order and the shards' id
-// ranges are disjoint, so the merged emission sequence is the unique
-// global sorted permutation regardless of where the shard boundaries
-// fall.
 
 // fairPass runs one sharded pass: publish the pass instant and the
 // cluster's dirty feed, repair every shard in parallel, then refresh
@@ -516,262 +380,4 @@ func (p *parState) parExtendFair() bool {
 	p.s.fairOrder = append(p.s.fairOrder, int(bid))
 	p.shardHead(fs)
 	return true
-}
-
-// --- efficiency order refresh --------------------------------------
-
-func (p *parState) effKeyFill(_, lo, hi int) {
-	s := p.s
-	for i := lo; i < hi; i++ {
-		id := s.effPref[i]
-		r := s.know.EffRank(id)
-		// effPref is a permutation, so the scattered rank-cache writes
-		// hit disjoint ids across position shards.
-		s.effRank[id] = r
-		s.effKeys[i] = effKey{rank: r, pos: int32(i), id: int32(id)}
-	}
-	slices.SortFunc(s.effKeys[lo:hi], effCmp)
-}
-
-// parFullEffOrder is the non-incremental preference rebuild: sharded
-// (rank, pos) key fills and shard sorts, then the merge tree; positions
-// are a permutation, so the key order is strict. It also refreshes the
-// rank/position caches, so later refreshes with a small dirty set take
-// the repairEffOrder merge walk instead of rebuilding the fleet.
-func (s *sim) parFullEffOrder() {
-	p := s.par
-	n := len(s.effPref)
-	if s.effRank == nil {
-		s.effKeys = make([]effKey, n)
-		s.effRank = make([]float64, n)
-		s.effPos = make([]int32, n)
-		s.effPref2 = make([]int, 0, n)
-		s.effPatch = make([]effKey, 0, n/8+8)
-	}
-	s.ensureKnow()
-	p.pool.Run(n, p.effKeyK)
-	merged := p.effMerge.Merge(s.effKeys, p.shardStarts(n))
-	for i := range merged {
-		id := int(merged[i].id)
-		s.effPref[i] = id
-		s.effPos[id] = int32(i)
-	}
-	s.effCacheOK = true
-}
-
-// --- matching sort --------------------------------------------------
-
-// runCollect is sortRunningBySlack's newcomer scan: each worker walks
-// its id range of the per-processor running view and collects the
-// slices that started since the previous pass (stamp epoch mismatch;
-// the stamps are read-only during the phase). The event goroutine
-// concatenates the arenas in shard order — id-ascending at any worker
-// count — so the retained-order repair downstream sees the same patch.
-func (p *parState) runCollect(sh, lo, hi int) {
-	s := p.s
-	w := &p.w[sh]
-	w.run = w.run[:0]
-	cur := s.dc.CurrentView()
-	for id := lo; id < hi; id++ {
-		if sl := cur[id]; sl != nil && s.runStamp[sl.Serial] != s.runEpoch {
-			w.run = append(w.run, sl)
-		}
-	}
-}
-
-// slackKeyFill keys and shard-sorts a position range of the running
-// list for sortRunningBySlack's full-rebuild path; the merge tree then
-// yields the unique (slack, procID) permutation.
-func (p *parState) slackKeyFill(_, lo, hi int) {
-	s, now := p.s, p.now
-	for i := lo; i < hi; i++ {
-		sl := p.running[i]
-		s.slackBuf[i] = slackEntry{slack: slack(sl, now), idx: int32(i), procID: int32(sl.ProcID)}
-	}
-	if p.desc {
-		slices.SortFunc(s.slackBuf[lo:hi], slackDesc)
-	} else {
-		slices.SortFunc(s.slackBuf[lo:hi], slackAsc)
-	}
-}
-
-// parSlackRebuild fills and shard-sorts the slack keys of the combined
-// running list and merges them — sortRunningBySlack's full rebuild,
-// used past the churn threshold. The returned keys may alias the
-// merger's scratch; the caller applies the permutation immediately.
-func (s *sim) parSlackRebuild(running []*cluster.Slice, now units.Seconds, desc bool) []slackEntry {
-	p := s.par
-	m := len(running)
-	if cap(s.slackBuf) < m {
-		s.slackBuf = make([]slackEntry, 0, m+64)
-	}
-	s.slackBuf = s.slackBuf[:m]
-	p.now, p.desc = now, desc
-	p.running = running
-	p.pool.Run(m, p.slackKeyK)
-	return p.slackMerge.Merge(s.slackBuf, p.shardStarts(m))
-}
-
-// --- placement fallback collect ------------------------------------
-
-func (p *parState) fbCollect(sh, lo, hi int) {
-	s := p.s
-	w := &p.w[sh]
-	w.avail = w.avail[:0]
-	for id := lo; id < hi; id++ {
-		if s.takenMark[id] != p.epoch {
-			w.avail = append(w.avail, procAvail{id: id, avail: s.dc.AvailableAt(id, p.now)})
-		}
-	}
-}
-
-// parFallbackCollect fills availBuf with the untaken processors'
-// availability for selectProcs' heap fallback: per-worker collection
-// over id ranges, concatenated in shard order — id-ascending at any
-// worker count, so heapify sees the same array and the pops are
-// byte-identical.
-func (s *sim) parFallbackCollect(now units.Seconds) {
-	p := s.par
-	p.now = now
-	p.epoch = s.takenEpoch
-	p.pool.Run(len(s.dc.Procs), p.fbColK)
-	buf := s.availBuf[:0]
-	for i := range p.w {
-		buf = append(buf, p.w[i].avail...)
-	}
-	s.availBuf = buf
-}
-
-// --- rebalance ------------------------------------------------------
-
-func (p *parState) candCollect(sh, lo, hi int) {
-	w := &p.w[sh]
-	w.cands = w.cands[:0]
-	p.s.dc.QueueEstimatesShard(lo, hi, w.estFn)
-}
-
-func (p *parState) availFill(_, lo, hi int) {
-	p.s.dc.AvailShard(p.avail, p.now, lo, hi)
-}
-
-// rebalTarget is FindFirst's predicate: can preference-order position
-// pos host the current candidate? It reads the availability snapshot
-// and calls chooseLevel, both pure reads during the search, and applies
-// the reference walk's skip conditions exactly, so the first true
-// position is the processor a left-to-right walk migrates to.
-func (p *parState) rebalTarget(pos int) bool {
-	id := p.order[pos]
-	if id == p.srcProc {
-		return false
-	}
-	maxTime := p.job.Deadline - p.avail[id]
-	if maxTime <= 0 {
-		return false
-	}
-	_, ok := p.s.chooseLevel(id, p.job, maxTime, false)
-	return ok
-}
-
-// parRebalance is the sharded rebalance: parallel candidate collection
-// over queue shards, a sort most-endangered first under the strict
-// (estStart desc, job, proc) order, one parallel availability
-// snapshot, then a block-cyclic parallel find-first over the
-// preference order per candidate. The snapshot is refreshed for
-// exactly the two processors a migration mutates, so every predicate
-// evaluation sees the value a fresh AvailableAt would compute.
-func (s *sim) parRebalance(now units.Seconds) {
-	p := s.par
-	n := len(s.dc.Procs)
-	p.now = now
-	p.pool.Run(n, p.candColK)
-	cands := s.candBuf[:0]
-	for i := range p.w {
-		cands = append(cands, p.w[i].cands...)
-	}
-	s.candBuf = cands
-	if len(cands) == 0 {
-		return
-	}
-	slices.SortFunc(cands, rebalCandCmp)
-	order := s.candidateOrder(now, false)
-	s.ensureKnow()
-	p.order = order
-	if p.avail == nil {
-		p.avail = make([]units.Seconds, n)
-	}
-	p.pool.Run(n, p.availFillK)
-	for _, c := range cands {
-		sl := c.sl
-		p.job = sl.Job
-		p.srcProc = sl.ProcID
-		pos := p.pool.FindFirst(len(order), p.rebalPred)
-		if pos == len(order) {
-			continue
-		}
-		id := order[pos]
-		maxTime := sl.Job.Deadline - p.avail[id]
-		level, _ := s.chooseLevel(id, sl.Job, maxTime, false)
-		src := sl.ProcID
-		started, err := s.dc.Migrate(sl, id, level, now)
-		if err != nil {
-			continue // raced with a start; leave it be
-		}
-		if started != nil {
-			s.scheduleCompletion(started)
-		}
-		p.avail[src] = s.dc.AvailableAt(src, now)
-		p.avail[id] = s.dc.AvailableAt(id, now)
-	}
-}
-
-// --- quality metrics ------------------------------------------------
-
-func (p *parState) slowsFill(_, lo, hi int) {
-	s := p.s
-	for i := lo; i < hi; i++ {
-		st := &s.states[i]
-		span := float64(st.finish - st.job.Submit)
-		runtime := math.Max(float64(st.job.Runtime), 10)
-		s.slowsBuf[i] = math.Max(1, span/runtime)
-	}
-	slices.Sort(s.slowsBuf[lo:hi])
-}
-
-// parQualityMetrics computes the end-of-run statistics with a parallel
-// slowdown fill + shard sort + merge. The wait sum and the sorted
-// slowdown sum run on the event goroutine in their fixed orders (job
-// order and ascending order respectively): float addition is not
-// associative, and shard boundaries depend on the worker count, so a
-// sharded reduction would leak Workers into the result's low bits.
-// Merging shard-sorted runs of plain float64 values is still safe —
-// equal values are indistinguishable, so the merged value sequence is
-// the unique ascending multiset at any worker count.
-func (s *sim) parQualityMetrics() (meanSlow, p95Slow float64, meanWait units.Seconds) {
-	p := s.par
-	m := len(s.states)
-	if m == 0 {
-		return 0, 0, 0
-	}
-	if cap(s.slowsBuf) < m {
-		s.slowsBuf = make([]float64, m)
-	}
-	s.slowsBuf = s.slowsBuf[:m]
-	p.pool.Run(m, p.slowsFillK)
-	var waitSum float64
-	for i := range s.states {
-		st := &s.states[i]
-		span := float64(st.finish - st.job.Submit)
-		if w := span - float64(st.job.Runtime); w > 0 {
-			waitSum += w
-		}
-	}
-	merged := p.slowMerge.Merge(s.slowsBuf, p.shardStarts(m))
-	var sum float64
-	for _, v := range merged {
-		sum += v
-	}
-	meanSlow = sum / float64(m)
-	p95Slow = merged[m*95/100]
-	meanWait = units.Seconds(waitSum / float64(m))
-	return meanSlow, p95Slow, meanWait
 }

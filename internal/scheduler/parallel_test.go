@@ -10,6 +10,7 @@ import (
 
 	"iscope/internal/scheduler/testgrid"
 	"iscope/internal/units"
+	"iscope/internal/workload"
 )
 
 // TestWorkersExcludedFromCfgHash pins the contract that the worker
@@ -117,66 +118,79 @@ func TestCheckpointInterchangeAcrossWorkers(t *testing.T) {
 // fallback — the fully drained order at every committed worker count
 // must equal the ground-truth (utilization, id) sort element for
 // element. workers=1 is the single-shard pool every serial run uses,
-// so serial runs are held to the identical permutation too.
+// so serial runs are held to the identical permutation too. A fleet
+// smaller than the worker count (procs=5) leaves some shards with
+// empty id ranges, as a daemon tenant may ask for.
 func TestShardedFairOrderRandomized(t *testing.T) {
-	fleet := testFleet(t, 256)
-	jobs := testJobs(t, 23, 120, 0.3)
-	w := testWind(t, fleet, 700)
 	sch, ok := SchemeByName("ScanFair")
 	if !ok {
 		t.Fatal("ScanFair scheme missing")
 	}
+	jobs := testJobs(t, 23, 120, 0.3)
+	big, small := testFleet(t, 256), testFleet(t, 5)
 	for _, workers := range []int{1, 2, 4, 8} {
 		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			cfg := RunConfig{Seed: 5, Jobs: jobs, Wind: w, EnableRebalance: true, Workers: workers}
-			s, err := newSim(fleet, sch, cfg, false)
-			if err != nil {
-				t.Fatalf("newSim: %v", err)
-			}
-			t.Cleanup(s.close)
-			rnd := rand.New(rand.NewSource(int64(1000 + workers)))
-			var ref []utilKey
-			var utilBuf []units.Seconds
-			for round := 0; round < 60 && s.jobsLeft > 0; round++ {
-				for i := 1 + rnd.Intn(40); i > 0 && s.jobsLeft > 0; i-- {
-					if !s.eng.Step() {
-						break
-					}
-				}
-				now := s.eng.Now()
-				// A same-instant preempt/enqueue round-trip leaves
-				// utilization untouched but fair-dirties the processor;
-				// the occasional oversized burst pushes past the repair
-				// thresholds into the compacting full pass.
-				burst := rnd.Intn(8)
-				if rnd.Intn(10) == 0 {
-					burst = len(s.dc.Procs) / 4
-				}
-				for k := 0; k < burst; k++ {
-					id := rnd.Intn(len(s.dc.Procs))
-					if sl := s.dc.Preempt(id, now); sl != nil {
-						s.dc.Enqueue(sl, now)
-					}
-				}
-				s.fairValid = false
-				got := s.leastUsedOrder(now)
-				utilBuf = s.dc.UtilTimesInto(utilBuf[:0], now)
-				ref = ref[:0]
-				for id, u := range utilBuf {
-					ref = append(ref, utilKey{u: u, id: id})
-				}
-				slices.SortFunc(ref, utilAsc)
-				if len(got) != len(ref) {
-					t.Fatalf("round %d: order has %d entries, fleet has %d", round, len(got), len(ref))
-				}
-				for i := range ref {
-					if got[i] != ref[i].id {
-						t.Fatalf("round %d: order[%d] = %d, want %d (u=%v)",
-							round, i, got[i], ref[i].id, ref[i].u)
-					}
-				}
-			}
+			checkFairOrderRandomized(t, big, sch, jobs, workers)
 		})
+	}
+	t.Run("procs=5", func(t *testing.T) {
+		for _, workers := range []int{1, 2, 4, 8} {
+			t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+				checkFairOrderRandomized(t, small, sch, jobs, workers)
+			})
+		}
+	})
+}
+
+func checkFairOrderRandomized(t *testing.T, fleet *Fleet, sch Scheme, jobs *workload.Trace, workers int) {
+	w := testWind(t, fleet, 700)
+	cfg := RunConfig{Seed: 5, Jobs: jobs, Wind: w, EnableRebalance: true, Workers: workers}
+	s, err := newSim(fleet, sch, cfg, false)
+	if err != nil {
+		t.Fatalf("newSim: %v", err)
+	}
+	t.Cleanup(s.close)
+	rnd := rand.New(rand.NewSource(int64(1000 + workers)))
+	var ref []utilKey
+	var utilBuf []units.Seconds
+	for round := 0; round < 60 && s.jobsLeft > 0; round++ {
+		for i := 1 + rnd.Intn(40); i > 0 && s.jobsLeft > 0; i-- {
+			if !s.eng.Step() {
+				break
+			}
+		}
+		now := s.eng.Now()
+		// A same-instant preempt/enqueue round-trip leaves
+		// utilization untouched but fair-dirties the processor;
+		// the occasional oversized burst pushes past the repair
+		// thresholds into the compacting full pass.
+		burst := rnd.Intn(8)
+		if rnd.Intn(10) == 0 {
+			burst = len(s.dc.Procs) / 4
+		}
+		for k := 0; k < burst; k++ {
+			id := rnd.Intn(len(s.dc.Procs))
+			if sl := s.dc.Preempt(id, now); sl != nil {
+				s.dc.Enqueue(sl, now)
+			}
+		}
+		s.fairValid = false
+		got := s.leastUsedOrder(now)
+		utilBuf = s.dc.UtilTimesInto(utilBuf[:0], now)
+		ref = ref[:0]
+		for id, u := range utilBuf {
+			ref = append(ref, utilKey{u: u, id: id})
+		}
+		slices.SortFunc(ref, utilAsc)
+		if len(got) != len(ref) {
+			t.Fatalf("round %d: order has %d entries, fleet has %d", round, len(got), len(ref))
+		}
+		for i := range ref {
+			if got[i] != ref[i].id {
+				t.Fatalf("round %d: order[%d] = %d, want %d (u=%v)",
+					round, i, got[i], ref[i].id, ref[i].u)
+			}
+		}
 	}
 }
 

@@ -112,18 +112,17 @@ type RunConfig struct {
 	// identical configuration; the run continues from the captured time
 	// and finishes with results bit-identical to the uninterrupted run.
 	Resume []byte
-	// Workers is the width of the pool the per-timestamp scheduling
-	// kernels (the fair and efficiency orders, the matching sort,
-	// placement fallback, rebalance target search, final quality
-	// metrics) are sharded across. 0 and 1 both mean one worker: the
-	// kernels run inline on the event goroutine over a single shard,
-	// and no goroutine is started. Shard boundaries and merge order are
-	// pure functions of the fleet size and this count — never goroutine
-	// timing — and every sharded sort runs under a strict total order,
-	// so results and checkpoint bytes are bit-identical for every value
-	// of Workers; only wall-clock time changes. Like naive, it is
-	// excluded from cfgHash: a checkpoint taken at one worker count
-	// resumes at any other.
+	// Workers is the width of the pool the one sharded scheduling
+	// kernel — the fair policy's least-used order pass — runs on; every
+	// other kernel runs serially on the event goroutine. 0 and 1 both
+	// mean one worker: the pass runs inline over a single shard, and no
+	// goroutine is started. Shard boundaries are pure functions of the
+	// fleet size and this count — never goroutine timing — and the
+	// shards merge under a strict total order, so results and
+	// checkpoint bytes are bit-identical for every value of Workers;
+	// only wall-clock time changes. Like naive, it is excluded from
+	// cfgHash: a checkpoint taken at one worker count resumes at any
+	// other.
 	Workers int
 
 	// naive switches the scheduler's hot paths to the retained reference
@@ -292,7 +291,8 @@ type sim struct {
 	// batchHalt is the engine's mid-batch stop predicate, bound once at
 	// construction so the hot loop passes a preallocated closure. It is
 	// true exactly when a single-step driver would abandon the queue for
-	// good: every job finished, or a fail-fast invariant latched.
+	// good: the stream sealed with every job finished, or a fail-fast
+	// invariant latched.
 	batchHalt func() bool
 
 	workDone   units.Seconds // completed slice work at the top level
@@ -386,11 +386,11 @@ type sim struct {
 	runKeys2   []runKey
 	runSorted2 []*cluster.Slice
 
-	// par runs the sharded scheduling kernels (see parallel.go) on a
-	// pool of max(1, Workers) workers; a one-worker pool runs every
-	// kernel inline over a single shard. nil only in naive mode. It
-	// holds per-call scratch, derived caches and the worker pool —
-	// never simulation state — so checkpoints ignore it entirely.
+	// par runs the sharded fair-order pass (see parallel.go) on a pool
+	// of max(1, Workers) workers; a one-worker pool runs it inline over
+	// a single shard. nil only in naive mode. It holds derived caches
+	// and the worker pool — never simulation state — so checkpoints
+	// ignore it entirely.
 	par *parState
 }
 
@@ -759,11 +759,11 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		_ = s.eng.AfterTag(cfg.Checkpoint.Every, eventTag{Kind: tagCheckpoint})
 	}
 
-	s.batchHalt = func() bool { return s.jobsLeft == 0 || s.invErr != nil }
+	s.batchHalt = func() bool { return (!s.open && s.jobsLeft == 0) || s.invErr != nil }
 
 	// The kernel pool attaches last, after every error return: a failed
 	// construction must not leak worker goroutines. Naive mode keeps its
-	// reference kernels — the oracle the sharded ones are tested against.
+	// reference fair order — the oracle the sharded one is tested against.
 	if !cfg.naive {
 		s.par = newParState(s, max(1, cfg.Workers))
 	}
@@ -1053,11 +1053,16 @@ func (s *sim) selectProcs(j *workload.Job, now units.Seconds) []placement {
 
 	if len(out) < n {
 		// Not enough feasible processors: place the remainder on the
-		// earliest-available ones at the top level (deadline violations
-		// are recorded at completion).
-		s.parFallbackCollect(now)
-		heapifyAvail(s.availBuf)
-		h := s.availBuf
+		// earliest-available untaken ones at the top level (deadline
+		// violations are recorded at completion).
+		h := s.availBuf[:0]
+		for id := range s.dc.Procs {
+			if s.takenMark[id] != epoch {
+				h = append(h, procAvail{id: id, avail: s.dc.AvailableAt(id, now)})
+			}
+		}
+		s.availBuf = h
+		heapifyAvail(h)
 		top := s.fleet.PM.Table.Top()
 		for len(out) < n && len(h) > 0 {
 			var pa procAvail
@@ -1159,15 +1164,41 @@ func (s *sim) efficiencyOrder() []int {
 // have a different EffRank (the scan DB is the lone dynamic rank
 // input, and it moves one chip at a time), so the clean remainder of
 // effPref is already sorted under (cached rank, position) and the few
-// dirty chips merge back in. The repair walk is linear in the fleet
-// and runs unsharded; only the full rebuild is sharded.
+// dirty chips merge back in.
 func (s *sim) refreshEffOrder() {
 	if s.effCacheOK && !s.effDirtyOverflow && len(s.effDirty) <= len(s.effPref)/8 {
 		s.repairEffOrder()
 	} else {
-		s.parFullEffOrder()
+		s.fullEffOrder()
 	}
 	s.resetEffDirty()
+}
+
+// fullEffOrder is the non-incremental preference rebuild: one sort of
+// the fleet's (rank, position) keys, a strict order because positions
+// form a permutation. It also refreshes the rank/position caches, so
+// later refreshes with a small dirty set take the repairEffOrder merge
+// walk instead of rebuilding the fleet.
+func (s *sim) fullEffOrder() {
+	n := len(s.effPref)
+	if s.effRank == nil {
+		s.effKeys = make([]effKey, n)
+		s.effRank = make([]float64, n)
+		s.effPos = make([]int32, n)
+		s.effPref2 = make([]int, 0, n)
+		s.effPatch = make([]effKey, 0, n/8+8)
+	}
+	for i, id := range s.effPref {
+		r := s.know.EffRank(id)
+		s.effRank[id] = r
+		s.effKeys[i] = effKey{rank: r, pos: int32(i), id: int32(id)}
+	}
+	slices.SortFunc(s.effKeys, effCmp)
+	for i, k := range s.effKeys {
+		s.effPref[i] = int(k.id)
+		s.effPos[k.id] = int32(i)
+	}
+	s.effCacheOK = true
 }
 
 // repairEffOrder merges the dirty chips — re-ranked, keyed by their
@@ -1433,11 +1464,36 @@ func (s *sim) finishSlice(j *workload.Job, now units.Seconds) {
 // the mean is summed over the *sorted* values, and float addition is
 // not associative, so a partial selection for the p95 alone would
 // change the mean's low bits and break bit-identity with the reference.
+// The wait sum runs in job order for the same reason.
 func (s *sim) qualityMetrics() (meanSlow, p95Slow float64, meanWait units.Seconds) {
 	if s.cfg.naive {
 		return s.naiveQualityMetrics()
 	}
-	return s.parQualityMetrics()
+	m := len(s.states)
+	if m == 0 {
+		return 0, 0, 0
+	}
+	slows := s.slowsBuf[:0]
+	var waitSum float64
+	for i := range s.states {
+		st := &s.states[i]
+		span := float64(st.finish - st.job.Submit)
+		runtime := math.Max(float64(st.job.Runtime), 10)
+		slows = append(slows, math.Max(1, span/runtime))
+		if w := span - float64(st.job.Runtime); w > 0 {
+			waitSum += w
+		}
+	}
+	s.slowsBuf = slows
+	slices.Sort(slows)
+	var sum float64
+	for _, v := range slows {
+		sum += v
+	}
+	meanSlow = sum / float64(m)
+	p95Slow = slows[m*95/100]
+	meanWait = units.Seconds(waitSum / float64(m))
+	return meanSlow, p95Slow, meanWait
 }
 
 // onTick refreshes the wind budget, runs the power-matching loop, and
@@ -1463,14 +1519,48 @@ func (s *sim) onTick(now units.Seconds) {
 }
 
 // rebalance migrates queued slices that would miss their deadlines to
-// processors where they still fit, walking the policy's preference
-// order for targets (see parRebalance).
+// processors where they still fit: candidates sorted most-endangered
+// first under the strict rebalCandCmp order, each moved to the first
+// processor in the policy's preference order that can still meet its
+// deadline.
 func (s *sim) rebalance(now units.Seconds) {
 	if s.cfg.naive {
 		s.naiveRebalance(now)
 		return
 	}
-	s.parRebalance(now)
+	cands := s.candBuf[:0]
+	s.dc.QueueEstimates(func(sl *cluster.Slice, estStart units.Seconds) {
+		if d := sl.Job.Deadline; d > 0 && estStart+s.dc.SliceDuration(sl, sl.AssignedLevel) > d {
+			cands = append(cands, rebalCand{sl, estStart})
+		}
+	})
+	s.candBuf = cands
+	if len(cands) == 0 {
+		return
+	}
+	slices.SortFunc(cands, rebalCandCmp)
+	order := s.candidateOrder(now, false)
+	for _, c := range cands {
+		sl := c.sl
+		for _, id := range order {
+			if id == sl.ProcID {
+				continue
+			}
+			maxTime := sl.Job.Deadline - s.dc.AvailableAt(id, now)
+			if maxTime <= 0 {
+				continue
+			}
+			level, ok := s.chooseLevel(id, sl.Job, maxTime, false)
+			if !ok {
+				continue
+			}
+			// A failed migration raced with a start; leave it be.
+			if started, err := s.dc.Migrate(sl, id, level, now); err == nil && started != nil {
+				s.scheduleCompletion(started)
+			}
+			break
+		}
+	}
 }
 
 // rebalCandCmp orders rebalance candidates most-endangered first —
@@ -1639,19 +1729,14 @@ func (s *sim) anyBelowAssigned() bool {
 // deadline slack — descending when desc is true (deficit: most
 // forgiving first), ascending otherwise (surplus: tightest first).
 //
-// The candidate list is carried over from the previous matching pass:
-// survivors keep their sorted position and slices that started running
-// since are appended (detected through the epoch-stamped serial set).
-// Slack drifts slowly between passes, so the input is nearly sorted
-// and pdqsort's partial-insertion fast path usually finishes in one
-// linear scan instead of a full re-sort. (slack, ProcID) is a strict
-// total order over running slices — one slice per processor — so the
-// result is identical from any starting permutation, including the
-// reversed one left behind when the deficit/surplus direction flips.
-//
-// Slack is a pure function of (slice, now) and the slices don't change
-// during the sort, so it is precomputed once per slice into the keyed
-// scratch buffer instead of twice per comparison.
+// The sorted list is carried over from the previous matching pass,
+// reversed in place when the deficit/surplus direction flips. Only the
+// slices whose key may have moved — gen-stale survivors and slices that
+// started running since (found through the epoch-stamped serial set) —
+// are re-keyed into a patch, sorted, and merged in. (slack, ProcID) is
+// a strict total order over running slices — one slice per processor —
+// so the merge equals a full sort of every key. Keys are precomputed
+// once per slice, not twice per comparison.
 func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice {
 	if len(s.runKeys) != len(s.runSorted) {
 		// Keys not tracked for the carried list (fresh run, or a restore
@@ -1704,43 +1789,16 @@ func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice 
 		}
 		s.lastSlackDesc = desc
 	}
-	// Slices that started running since the previous pass: a sharded
-	// scan of the per-processor running view — the dominant O(fleet)
-	// part of a retained pass — whose worker arenas concatenate in
-	// shard order, which is id order.
-	p := s.par
-	p.pool.Run(len(s.dc.Procs), p.runColK)
-	for i := range p.w {
-		for _, cur := range p.w[i].run {
+	// Slices that started running since the previous pass: a scan of
+	// the per-processor running view in id order (the stamps mark the
+	// carried survivors).
+	for _, cur := range s.dc.CurrentView() {
+		if cur != nil && s.runStamp[cur.Serial] != s.runEpoch {
 			patchK = append(patchK, slackEntry{slack: slack(cur, now), idx: int32(len(patchS)), procID: int32(cur.ProcID)})
 			patchS = append(patchS, cur)
 		}
 	}
-	s.runBuf = patchS
-	s.slackBuf = patchK
-
-	if len(patchK) > baseN/4+8 {
-		// Too much churn for a merge to win: rebuild wholesale from the
-		// combined candidate list with a shard sort and merge of the
-		// keys; (slack, procID) is strict, so the rebuild emits the
-		// unique sorted permutation.
-		running := append(baseS[:baseN], patchS...)
-		s.runSorted = running
-		keys := s.parSlackRebuild(running, now, desc)
-		// Apply the sorted permutation through a scratch copy (the
-		// in-place running slice is both source and destination).
-		scratch := append(s.runSorted2[:0], running...)
-		s.runSorted2 = scratch[:0]
-		outK := s.runKeys2[:0]
-		for _, k := range keys {
-			i := len(outK)
-			running[i] = scratch[k.idx]
-			outK = append(outK, runKey{slack: k.slack, procID: k.procID, gen: int32(running[i].Gen)})
-		}
-		s.runKeys, s.runKeys2 = outK, s.runKeys[:0]
-		return running
-	}
-
+	s.runBuf, s.slackBuf = patchS, patchK
 	if desc {
 		slices.SortFunc(patchK, slackDesc)
 	} else {

@@ -104,8 +104,8 @@ func TestStepLoopMatchesBatchRun(t *testing.T) {
 					// FairPolicy schemes drive the sharded lazy fair
 					// order, whose shard boundaries move with the worker
 					// count — those cells sweep every committed count.
-					// The other policies share the worker-count-invariant
-					// eff/slack kernels, so two counts bound the runtime.
+					// The other policies run no sharded kernel, so two
+					// counts bound the runtime.
 					workerSweep := []int{1, 4}
 					if sch.Policy == FairPolicy {
 						workerSweep = []int{1, 2, 4, 8}

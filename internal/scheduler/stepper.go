@@ -105,10 +105,12 @@ func (st *Stepper) ProcessNextEvent() (fired bool, err error) {
 // The fired sequence is bit-identical to calling ProcessNextEvent that
 // many times: newly scheduled events — even at the same timestamp —
 // carry larger sequence numbers and sort after the whole run. The
-// dispatch stops mid-batch as soon as the run is terminally done (last
-// job finished, or a fail-fast invariant latched — surfaced as an error
-// on the next call), the states in which a single-step driver would
-// strand the same events in the queue forever.
+// dispatch stops mid-batch as soon as the run is terminally done (the
+// stream sealed and its last job finished, or a fail-fast invariant
+// latched — surfaced as an error on the next call), the states in which
+// a single-step driver would strand the same events in the queue
+// forever. On an open stream a finished job ends nothing — more may
+// arrive — so the whole run fires.
 func (st *Stepper) ProcessEventBatch() (fired int, err error) {
 	if st.result != nil {
 		return 0, fmt.Errorf("scheduler: step after the result was assembled")

@@ -1,6 +1,7 @@
 package scheduler
 
 import (
+	"bytes"
 	"math"
 	"reflect"
 	"strings"
@@ -258,5 +259,100 @@ func TestStepperSnapshotResume(t *testing.T) {
 	}
 	if !reflect.DeepEqual(want, got) {
 		t.Fatalf("resumed run diverged:\nbatch   %+v\nresumed %+v", want, got)
+	}
+}
+
+// TestStepperBatchDrivenOpenStream: on an open stream, a job finishing
+// does not end the run — more jobs may still arrive — so a
+// ProcessEventBatch loop must not drop the rest of that timestamp's
+// events. The scenario lands the only job's completion on a wind tick:
+// a full-speed placement at t=0 whose runtime is exactly one wind
+// interval. Losing that tick would also lose every later one, since a
+// tick re-arms itself only when it fires. Batch- and step-driven
+// steppers must agree on the snapshot at the next arrival and on the
+// Result once that job is in and the stream sealed.
+func TestStepperBatchDrivenOpenStream(t *testing.T) {
+	fleet := testFleet(t, 8)
+	w := testWind(t, fleet, 79)
+	sch, ok := SchemeByName("ScanFair")
+	if !ok {
+		t.Fatal("ScanFair scheme missing")
+	}
+	if w.At(0) <= 0 {
+		t.Fatal("test wind is calm at t=0; ScanFair would not place at the top level")
+	}
+	// A tiny threshold makes any wind abundant, so ScanFair runs the
+	// first job at full speed, and with matching off nothing retimes it:
+	// it finishes exactly on the tick.
+	cfg := RunConfig{Seed: 8, Wind: w, FairTheta: 1e-9, DisableMatching: true}
+	first := workload.Job{ID: 1, Procs: 1, Runtime: w.Interval, Boundness: 1}
+	second := workload.Job{ID: 2, Procs: 2, Runtime: units.Minutes(30), Boundness: 0.5}
+
+	type outcome struct {
+		res  *Result
+		snap []byte
+	}
+	drive := func(batch bool) outcome {
+		t.Helper()
+		st, err := NewStepper(fleet, sch, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		step := func() int {
+			if batch {
+				n, err := st.ProcessEventBatch()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return n
+			}
+			fired, err := st.ProcessNextEvent()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fired {
+				return 1
+			}
+			return 0
+		}
+		if _, err := st.InjectJob(0, first); err != nil {
+			t.Fatal(err)
+		}
+		// Run the open stream to just before the second arrival.
+		arrive := 3 * w.Interval
+		for {
+			at, ok := st.PeekNextEventTime()
+			if !ok || at >= arrive || step() == 0 {
+				break
+			}
+		}
+		if got := st.Status().JobsLeft; got != 0 {
+			t.Fatalf("batch=%v: %d jobs left before the second arrival, want the first done", batch, got)
+		}
+		// The snapshot holds the event queue, so a lost tick shows here.
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.InjectJob(arrive, second); err != nil {
+			t.Fatal(err)
+		}
+		st.Seal()
+		for !st.Finished() && step() > 0 {
+		}
+		res, err := st.Result()
+		if err != nil {
+			t.Fatalf("batch=%v: %v", batch, err)
+		}
+		return outcome{res, snap}
+	}
+
+	want, got := drive(false), drive(true)
+	if !bytes.Equal(want.snap, got.snap) {
+		t.Fatal("batch-driven open stream reached the second arrival in a different state than the step-driven one")
+	}
+	if !reflect.DeepEqual(want.res, got.res) {
+		t.Fatalf("batch-driven open stream diverged:\nstep  %+v\nbatch %+v", want.res, got.res)
 	}
 }

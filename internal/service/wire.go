@@ -44,8 +44,9 @@ type TenantSpec struct {
 	// Invariants enables the online runtime-verification monitor in
 	// record mode; violations surface in the tenant status.
 	Invariants bool `json:"invariants,omitempty"`
-	// Workers shards the per-timestamp scheduling kernels over this
-	// many workers; 0 and 1 run them inline. At most maxWorkers.
+	// Workers shards the fair-order pass, the one sharded scheduling
+	// kernel, over this many workers; 0 and 1 run it inline. At most
+	// maxWorkers.
 	Workers int `json:"workers,omitempty"`
 	// Admission selects the job-admission policy; nil admits
 	// everything.
@@ -53,8 +54,8 @@ type TenantSpec struct {
 }
 
 // maxWorkers caps TenantSpec.Workers. Each worker is a goroutine and a
-// scratch arena per tenant, so an unbounded count from the wire could
-// exhaust the daemon's memory; 64 is well above any count the
+// fair-order shard per tenant, so an unbounded count from the wire
+// could exhaust the daemon's memory; 64 is well above any count the
 // benchmarks sweep.
 const maxWorkers = 64
 

@@ -1,21 +1,14 @@
 // Package shard is the deterministic data-parallel substrate the
-// scheduler's per-timestamp kernels run on: fixed shard boundaries
-// that depend only on (n, workers), a pool of persistent worker
-// goroutines with low-overhead dispatch, an order-preserving pairwise
-// merge of per-shard sorted runs, and a block-cyclic parallel
-// find-first.
+// scheduler's fair-order pass runs on: fixed shard boundaries that
+// depend only on (n, workers) and a pool of persistent worker
+// goroutines with low-overhead dispatch.
 //
-// Everything here is deterministic by construction: which elements a
-// shard owns, which runs merge in which round, and which index
-// FindFirst returns depend only on the input sizes and the worker
-// count — never on goroutine timing. Concurrency changes how long a
-// call takes, never what it computes.
+// Which elements a shard owns depends only on the input size and the
+// worker count — never on goroutine timing — so concurrency changes
+// how long a call takes, never what it computes.
 package shard
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync"
 
 // cacheAlign is the shard-boundary alignment in elements: 8 eight-byte
 // elements span one 64-byte cache line, so adjacent shards filling
@@ -53,8 +46,8 @@ func Range(n, shards, s int) (lo, hi int) {
 // worker and no goroutine creation. A pool with one worker runs
 // everything inline and owns no goroutines at all.
 //
-// A Pool is not reentrant: Run, FindFirst and Close must be called
-// from a single goroutine (the simulation event loop).
+// A Pool is not reentrant: Run and Close must be called from a single
+// goroutine (the simulation event loop).
 type Pool struct {
 	workers int
 	sig     []chan struct{}
@@ -65,13 +58,6 @@ type Pool struct {
 	// by workers after the receive (channel happens-before).
 	fn func(shard, lo, hi int)
 	n  int
-
-	// FindFirst state; ffKern is bound once so steady-state calls do
-	// not allocate a closure.
-	pred   func(i int) bool
-	ffN    int
-	best   atomic.Int64
-	ffKern func(shard, lo, hi int)
 }
 
 // NewPool creates a pool of the given width. Widths below 2 yield an
@@ -82,7 +68,6 @@ func NewPool(workers int) *Pool {
 		workers = 1
 	}
 	p := &Pool{workers: workers}
-	p.ffKern = p.findShard
 	if workers == 1 {
 		return p
 	}
@@ -114,9 +99,8 @@ func (p *Pool) worker(w int, ch chan struct{}) {
 // Run executes fn once per shard over [0, n): worker w gets
 // Range(n, workers, w), shard 0 runs on the calling goroutine, and Run
 // returns after every shard has finished. fn is invoked for every
-// shard even when its range is empty, so kernels that partition work
-// by shard number rather than by range (see FindFirst) still cover
-// all workers.
+// shard even when its range is empty, so a kernel that keeps per-shard
+// state sees every shard on every call.
 func (p *Pool) Run(n int, fn func(shard, lo, hi int)) {
 	if p == nil || p.workers == 1 {
 		fn(0, 0, n)
@@ -143,166 +127,5 @@ func (p *Pool) Close() {
 	p.closed = true
 	for w := 1; w < p.workers; w++ {
 		close(p.sig[w])
-	}
-}
-
-// ffBlock is the block size of FindFirst's cyclic scan: big enough to
-// amortize the per-block pruning check, small enough that a hit early
-// in the array prunes the rest quickly.
-const ffBlock = 128
-
-// FindFirst returns the smallest i in [0, n) with pred(i) true, or n
-// when no index matches — the same answer a serial scan returns, for
-// any worker count. pred must be safe to call concurrently and must
-// not mutate shared state.
-//
-// Worker w scans blocks w, w+k, w+2k, ... of ffBlock indices in
-// ascending order and stops at its first hit (its minimum, since its
-// blocks ascend). Hits are published through an atomic minimum that
-// is used only to skip blocks starting at or above a known hit; such
-// blocks cannot contain a smaller index, so pruning changes only how
-// much wasted work happens, never the answer. Every index belongs to
-// exactly one worker, so the final atomic value is the global minimum.
-func (p *Pool) FindFirst(n int, pred func(i int) bool) int {
-	if p == nil || p.workers == 1 || n < 2*ffBlock*p.workers {
-		for i := 0; i < n; i++ {
-			if pred(i) {
-				return i
-			}
-		}
-		return n
-	}
-	p.pred = pred
-	p.ffN = n
-	p.best.Store(int64(n))
-	p.Run(0, p.ffKern)
-	p.pred = nil
-	return int(p.best.Load())
-}
-
-func (p *Pool) findShard(s, _, _ int) {
-	n, k := p.ffN, p.workers
-	for b := s * ffBlock; b < n; b += k * ffBlock {
-		if int64(b) >= p.best.Load() {
-			return // blocks only ascend; nothing below the known hit remains
-		}
-		end := b + ffBlock
-		if end > n {
-			end = n
-		}
-		for i := b; i < end; i++ {
-			if p.pred(i) {
-				storeMin(&p.best, int64(i))
-				return
-			}
-		}
-	}
-}
-
-func storeMin(a *atomic.Int64, v int64) {
-	for {
-		cur := a.Load()
-		if v >= cur || a.CompareAndSwap(cur, v) {
-			return
-		}
-	}
-}
-
-// Merger merges per-shard sorted runs into one fully sorted sequence
-// with a parallel pairwise merge tree: each round merges fixed
-// adjacent run pairs (1,2), (3,4), ... concurrently, halving the run
-// count until one remains, ping-ponging between the input and an
-// internal buffer. Ties take the left (lower-indexed) run first, so
-// the merge is stable; under a strict total order the output is the
-// unique sorted permutation — bit-identical to a serial full sort.
-// All scratch is reused and the kernel is bound at construction, so
-// steady-state merging does not allocate.
-type Merger[T any] struct {
-	pool *Pool
-	cmp  func(a, b T) int
-
-	// buf is the merger-owned half of the ping-pong pair. cur/next are
-	// per-call views that alternate between the caller's data and buf;
-	// they are reset from buf on every call and nilled on return, so a
-	// stale next can never alias the data slice of a later call (callers
-	// routinely pass the same reused scratch slice every time).
-	buf             []T
-	cur, next       []T
-	starts, nstarts []int
-	pairs           int
-	kern            func(shard, lo, hi int)
-}
-
-// NewMerger creates a merger over the pool. cmp follows the
-// slices.SortFunc convention (negative when a orders before b).
-func NewMerger[T any](p *Pool, cmp func(a, b T) int) *Merger[T] {
-	m := &Merger[T]{pool: p, cmp: cmp}
-	m.kern = m.mergeShard
-	return m
-}
-
-// Merge merges the sorted runs of data delimited by starts — starts[i]
-// is run i's first index; runs are contiguous, possibly empty, and
-// cover data to its end. data doubles as scratch; the result lands in
-// either data or the internal buffer and the returned slice is
-// whichever holds it, valid until the next Merge.
-func (m *Merger[T]) Merge(data []T, starts []int) []T {
-	if len(starts) <= 1 {
-		return data
-	}
-	if cap(m.buf) < len(data) {
-		m.buf = make([]T, len(data))
-	}
-	m.next = m.buf[:len(data)]
-	m.cur = data
-	m.starts = append(m.starts[:0], starts...)
-	for len(m.starts) > 1 {
-		nruns := len(m.starts)
-		m.pairs = nruns / 2
-		m.pool.Run(m.pairs, m.kern)
-		if nruns%2 == 1 {
-			// The odd run out passes through to the next round unchanged.
-			lo := m.starts[nruns-1]
-			copy(m.next[lo:len(m.cur)], m.cur[lo:])
-		}
-		ns := m.nstarts[:0]
-		for i := 0; i < m.pairs; i++ {
-			ns = append(ns, m.starts[2*i])
-		}
-		if nruns%2 == 1 {
-			ns = append(ns, m.starts[nruns-1])
-		}
-		m.starts, m.nstarts = ns, m.starts
-		m.cur, m.next = m.next[:len(m.cur)], m.cur
-	}
-	out := m.cur
-	m.cur, m.next = nil, nil
-	return out
-}
-
-// mergeShard merges the adjacent run pairs indexed [lo, hi). Pair pi
-// reads cur[starts[2pi]:end) and writes the same range of next, so
-// pairs touch disjoint regions.
-func (m *Merger[T]) mergeShard(_, lo, hi int) {
-	for pi := lo; pi < hi; pi++ {
-		a, b := m.starts[2*pi], m.starts[2*pi+1]
-		c := len(m.cur)
-		if 2*pi+2 < len(m.starts) {
-			c = m.starts[2*pi+2]
-		}
-		src, dst := m.cur, m.next
-		i, j, o := a, b, a
-		for i < b && j < c {
-			if m.cmp(src[i], src[j]) <= 0 {
-				dst[o] = src[i]
-				i++
-			} else {
-				dst[o] = src[j]
-				j++
-			}
-			o++
-		}
-		o += copy(dst[o:], src[i:b])
-		copy(dst[o:], src[j:c])
 	}
 }

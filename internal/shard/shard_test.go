@@ -1,9 +1,6 @@
 package shard
 
 import (
-	"cmp"
-	"math/rand"
-	"slices"
 	"sync/atomic"
 	"testing"
 )
@@ -56,7 +53,7 @@ func TestPoolRunInvokesEveryShard(t *testing.T) {
 	defer p.Close()
 	var hits atomic.Int64
 	// n=0 gives every shard an empty range; the kernel must still run
-	// once per shard (FindFirst relies on this).
+	// once per shard (per-shard kernels rely on this).
 	p.Run(0, func(s, lo, hi int) {
 		if lo != 0 || hi != 0 {
 			t.Errorf("shard %d: range [%d,%d), want empty", s, lo, hi)
@@ -65,130 +62,6 @@ func TestPoolRunInvokesEveryShard(t *testing.T) {
 	})
 	if hits.Load() != 4 {
 		t.Fatalf("kernel ran %d times, want 4", hits.Load())
-	}
-}
-
-func TestFindFirstMatchesSerial(t *testing.T) {
-	r := rand.New(rand.NewSource(11))
-	for _, k := range []int{1, 2, 4, 8} {
-		p := NewPool(k)
-		for trial := 0; trial < 30; trial++ {
-			n := 1 + r.Intn(5000)
-			vals := make([]bool, n)
-			// Mix of dense, sparse and empty hit patterns.
-			switch trial % 3 {
-			case 0:
-				for i := range vals {
-					vals[i] = r.Intn(50) == 0
-				}
-			case 1:
-				if n > 1 {
-					vals[1+r.Intn(n-1)] = true
-				}
-			}
-			want := n
-			for i, v := range vals {
-				if v {
-					want = i
-					break
-				}
-			}
-			got := p.FindFirst(n, func(i int) bool { return vals[i] })
-			if got != want {
-				t.Fatalf("k=%d n=%d: FindFirst=%d, want %d", k, n, got, want)
-			}
-		}
-		// Force the parallel path: n must exceed the serial cutoff.
-		n := 2*ffBlock*k + 1000
-		vals := make([]bool, n)
-		vals[n-1] = true
-		vals[ffBlock*k+3] = true
-		if got, want := p.FindFirst(n, func(i int) bool { return vals[i] }), ffBlock*k+3; got != want {
-			t.Fatalf("k=%d parallel path: FindFirst=%d, want %d", k, got, want)
-		}
-		if got := p.FindFirst(n, func(i int) bool { return false }); got != n {
-			t.Fatalf("k=%d parallel path: no-hit FindFirst=%d, want %d", k, got, n)
-		}
-		p.Close()
-	}
-}
-
-func TestMergerMatchesFullSort(t *testing.T) {
-	r := rand.New(rand.NewSource(7))
-	for _, k := range []int{1, 2, 3, 4, 5, 8} {
-		p := NewPool(k)
-		m := NewMerger(p, cmp.Compare[int])
-		for trial := 0; trial < 25; trial++ {
-			n := r.Intn(3000)
-			data := make([]int, n)
-			for i := range data {
-				// Narrow value range forces ties; a strict order is not
-				// required for value-identical output when comparing ints.
-				data[i] = r.Intn(40)
-			}
-			want := slices.Clone(data)
-			slices.Sort(want)
-			starts := make([]int, k)
-			for s := 0; s < k; s++ {
-				lo, hi := Range(n, k, s)
-				starts[s] = lo
-				slices.Sort(data[lo:hi])
-			}
-			got := m.Merge(data, starts)
-			if !slices.Equal(got, want) {
-				t.Fatalf("k=%d n=%d: merged != sorted", k, n)
-			}
-		}
-		p.Close()
-	}
-}
-
-func TestMergerStableOnTies(t *testing.T) {
-	// Keys compare only on the first field; the second records original
-	// run order. A stable merge keeps lower runs first within a tie.
-	type kv struct{ key, run int }
-	p := NewPool(4)
-	defer p.Close()
-	m := NewMerger(p, func(a, b kv) int { return a.key - b.key })
-	var data []kv
-	var starts []int
-	for run := 0; run < 4; run++ {
-		starts = append(starts, len(data))
-		for i := 0; i < 10; i++ {
-			data = append(data, kv{key: i, run: run})
-		}
-	}
-	out := m.Merge(data, starts)
-	for i := 1; i < len(out); i++ {
-		a, b := out[i-1], out[i]
-		if a.key > b.key || (a.key == b.key && a.run > b.run) {
-			t.Fatalf("unstable merge at %d: %+v before %+v", i, a, b)
-		}
-	}
-}
-
-func TestMergerReusedAcrossCalls(t *testing.T) {
-	p := NewPool(3)
-	defer p.Close()
-	m := NewMerger(p, cmp.Compare[int])
-	r := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 10; trial++ {
-		n := 500 + r.Intn(500)
-		data := make([]int, n)
-		for i := range data {
-			data[i] = r.Intn(1000)
-		}
-		want := slices.Clone(data)
-		slices.Sort(want)
-		starts := make([]int, 3)
-		for s := 0; s < 3; s++ {
-			lo, hi := Range(n, 3, s)
-			starts[s] = lo
-			slices.Sort(data[lo:hi])
-		}
-		if got := m.Merge(data, starts); !slices.Equal(got, want) {
-			t.Fatalf("trial %d: merged != sorted", trial)
-		}
 	}
 }
 
@@ -202,33 +75,4 @@ func TestCloseIdempotent(t *testing.T) {
 		t.Fatalf("nil pool width = %d, want 1", nilPool.Workers())
 	}
 	NewPool(1).Close() // inline pool close is a no-op
-}
-
-// TestMergerSameSliceReused pins the aliasing regression: callers
-// reuse one scratch slice for every Merge call, and after a call whose
-// result lands in the internal buffer the ping-pong swap used to leave
-// the merger's next-buffer aliasing that caller slice — the following
-// call then merged in place and duplicated elements.
-func TestMergerSameSliceReused(t *testing.T) {
-	p := NewPool(2)
-	defer p.Close()
-	m := NewMerger(p, func(a, b int) int { return a - b })
-	data := make([]int, 16)
-	r := rand.New(rand.NewSource(7))
-	for round := 0; round < 10; round++ {
-		for i := range data {
-			data[i] = r.Intn(1000)*16 + i // distinct values
-		}
-		starts := []int{0, 8}
-		slices.Sort(data[:8])
-		slices.Sort(data[8:])
-		want := append([]int(nil), data...)
-		slices.Sort(want)
-		got := m.Merge(data, starts)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("round %d pos %d: got %v want %v", round, i, got, want)
-			}
-		}
-	}
 }
