@@ -756,6 +756,15 @@ func (dc *Datacenter) IsBusy(id int) bool { return dc.current[id] != nil }
 // counting any in-flight busy span.
 func (dc *Datacenter) UtilTimeOf(id int) units.Seconds { return dc.utilTime[id] }
 
+// UtilOffset returns processor id's utilTime − busySince. While the
+// processor stays busy its UtilAt is utilTime + (now − busySince), so
+// this offset orders busy processors' keys up to rounding, and it does
+// not change until start, Complete or Preempt marks the processor
+// fair-dirty.
+func (dc *Datacenter) UtilOffset(id int) units.Seconds {
+	return dc.utilTime[id] - dc.busySince[id]
+}
+
 // UtilAt returns processor id's busy time at now — exactly the value
 // UtilTimesInto writes for that processor, computed with the identical
 // float expression so orderings built from either agree bit-for-bit.
@@ -785,20 +794,6 @@ func (dc *Datacenter) UtilTimesInto(dst []units.Seconds, now units.Seconds) []un
 		dst = append(dst, u)
 	}
 	return dst
-}
-
-// UtilShard fills dst[id] for id in [lo, hi) with each processor's
-// busy time at now — the shard-range form of UtilTimesInto. Distinct
-// ranges touch disjoint regions of dst, so shards may fill
-// concurrently; each entry is exactly the value UtilTimesInto writes.
-func (dc *Datacenter) UtilShard(dst []units.Seconds, now units.Seconds, lo, hi int) {
-	for id := lo; id < hi; id++ {
-		u := dc.utilTime[id]
-		if dc.current[id] != nil {
-			u += now - dc.busySince[id]
-		}
-		dst[id] = u
-	}
 }
 
 // LiveSlices counts the fleet's in-flight work: slices currently

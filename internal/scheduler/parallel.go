@@ -8,64 +8,174 @@ import (
 )
 
 // This file holds the one sharded scheduling kernel: ScanFair's
-// least-used order, the paper's lifetime-balancing policy and the
-// costliest kernel in CPU profiles. Every optimized run attaches it at
-// pool width max(1, RunConfig.Workers); a one-worker pool owns no
-// goroutines and runs the pass inline over the single shard [0, n), so
-// a serial run is simply the one-shard case of the same code. Every
-// other kernel runs serially on the event goroutine.
+// least-used order, the paper's lifetime-balancing policy. Every
+// optimized run attaches it at pool width max(1, RunConfig.Workers); a
+// one-worker pool owns no goroutines and runs the pass inline over the
+// single shard [0, n), so a serial run is simply the one-shard case of
+// the same code. Every other kernel runs serially on the event
+// goroutine.
 //
-// Each fairShard retains the idle lists and busy carry for its id
-// range; fairPass repairs (or rebuilds) every shard in parallel around
-// the cluster's dirty feed, and the order materializes lazily:
-// parExtendFair takes the argmin over the shard heads — at most Workers
-// compares per emission — so a placement pass consumes only the prefix
-// it needs. A pass costs O((busy + dirty)/workers), not
-// O(fleet log fleet), plus O(Workers) per emitted id. Every per-shard
-// source is sorted under the strict (u, id) order and the shards' id
-// ranges are disjoint, so the merged emission sequence is the unique
-// global sorted permutation wherever the shard boundaries fall.
-// Boundaries and the per-shard full-vs-repair choice depend only on
-// (n, Workers) and affect performance alone, so the worker count never
+// A processor's fair key at now is UtilAt(id, now). An idle processor's
+// key is its utilTime; a busy processor's key is
+// utilTime + (now − busySince), whose offset utilTime − busySince does
+// not move with now. The cluster changes neither term without a
+// fair-dirty mark, so each fairShard retains its idle processors sorted
+// by key and its busy ones sorted by offset, and a pass only folds the
+// dirty processors' fresh entries into small overlays. The order then
+// materializes lazily: parExtendFair takes the argmin over the shard
+// heads, and a busy key is computed only when the merge reaches its
+// entry (busyHead). A pass costs O(dirty log dirty + overlay) in the
+// workers, then a few keys and O(Workers) compares per emitted id, so
+// a placement pays for the prefix it consumes, not for the busy fleet.
+// Every shard emits in the strict (u, id) order and the shards' id
+// ranges are disjoint, so the merged sequence is the unique global
+// sorted permutation wherever the shard boundaries fall. Boundaries
+// and the compaction schedule depend only on (n, Workers) and the
+// dirty feed and affect performance alone, so the worker count never
 // leaks into results or checkpoints.
 
+// fairEntry is one processor's position in a retained fair list. key
+// is utilTime for an idle processor and the offset
+// utilTime − busySince for a busy one. An entry is authoritative iff
+// its ver matches the processor's current fairVer stamp, so
+// invalidating a dirtied processor's entry is one counter bump and
+// iteration simply skips the husks. At most one entry per processor is
+// valid at a time: each dirty pass bumps the stamp once and writes
+// exactly one fresh entry, into the idle or the busy list.
+type fairEntry struct {
+	key     units.Seconds
+	id, ver int32
+}
+
+// fairAsc orders entries by the strict (key, id) order; ver is
+// bookkeeping, never part of the sort key.
+func fairAsc(a, b fairEntry) int {
+	if a.key != b.key {
+		if a.key < b.key {
+			return -1
+		}
+		return 1
+	}
+	return int(a.id) - int(b.id)
+}
+
+// fairList is one class of a shard's processors, idle or busy: a
+// sorted main list plus a sorted overlay of the entries written since
+// the last compaction, read through pass cursors that skip stale
+// entries. batch collects a pass's fresh entries, and spare is the
+// merge target add and compact swap in.
+type fairList struct {
+	main, extra, batch, spare []fairEntry
+	mi, ei                    int
+}
+
+// add sorts the pass's batch and merges it into the overlay, leaving
+// the main list untouched: a binary search per batch entry, and the
+// overlay's runs between them copied whole.
+func (l *fairList) add() {
+	batch := l.batch
+	l.batch = batch[:0]
+	if len(batch) == 0 {
+		return
+	}
+	slices.SortFunc(batch, fairAsc)
+	out, rest := l.spare[:0], l.extra
+	for _, e := range batch {
+		i, _ := slices.BinarySearchFunc(rest, e, fairAsc)
+		out = append(append(out, rest[:i]...), e)
+		rest = rest[i:]
+	}
+	l.extra, l.spare = append(out, rest...), l.extra[:0]
+}
+
+// compact folds the overlay into the main list in one linear merge,
+// dropping every stale entry.
+func (l *fairList) compact(ver []int32) {
+	out := l.spare[:0]
+	i, j := 0, 0
+	for i < len(l.main) || j < len(l.extra) {
+		var e fairEntry
+		if j == len(l.extra) || i < len(l.main) && fairAsc(l.main[i], l.extra[j]) < 0 {
+			e = l.main[i]
+			i++
+		} else {
+			e = l.extra[j]
+			j++
+		}
+		if e.ver == ver[e.id] {
+			out = append(out, e)
+		}
+	}
+	l.main, l.spare, l.extra = out, l.main[:0], l.extra[:0]
+}
+
+// peek returns the list's least valid entry at the pass cursors,
+// first advancing them past stale entries. Validity is frozen with the
+// pass: stamps only move in repairShard, so a processor placed mid-pass
+// keeps its pass-entry position.
+func (l *fairList) peek(ver []int32) (fairEntry, bool) {
+	for l.mi < len(l.main) && l.main[l.mi].ver != ver[l.main[l.mi].id] {
+		l.mi++
+	}
+	for l.ei < len(l.extra) && l.extra[l.ei].ver != ver[l.extra[l.ei].id] {
+		l.ei++
+	}
+	if !l.mainFirst() {
+		return l.extra[l.ei], true
+	}
+	if l.mi == len(l.main) {
+		return fairEntry{}, false
+	}
+	return l.main[l.mi], true
+}
+
+// pop consumes the entry the last peek returned.
+func (l *fairList) pop() {
+	if l.mainFirst() {
+		l.mi++
+	} else {
+		l.ei++
+	}
+}
+
+// mainFirst reports whether the next entry comes from the main list:
+// the overlay is exhausted or its cursor entry sorts after main's.
+func (l *fairList) mainFirst() bool {
+	return l.ei == len(l.extra) || l.mi < len(l.main) && fairAsc(l.main[l.mi], l.extra[l.ei]) < 0
+}
+
 // fairShard is one shard's retained fair-order state over the
-// processor ids in [lo, hi). Idle processors' utilization keys are
-// static (no in-flight span), so idle — the shard's idle processors
-// sorted by (u, id) — stays exactly sorted until a processor the
-// cluster reports dirty (FairDirty) starts or stops. Instead of
-// rewriting the idle list each pass, dirty processors' old entries are
-// abandoned in place (invalidated by bumping the processor's fairVer
-// stamp) and their fresh keys merged into the small extra overlay;
-// only the busy minority, whose keys move with now, is re-keyed per
-// pass. fullShard is the fallback past the dirt thresholds — and the
-// compaction that clears accumulated stale entries.
+// processor ids in [lo, hi): the idle list keyed by utilTime, the busy
+// list keyed by offset, and the busy window that turns offsets into
+// keys during emission. A repair pass touches only the shard's dirty
+// ids: their old entries die with a fairVer bump and their fresh ones
+// join the overlays. Once stale entries pass the shard's threshold,
+// compaction merges each overlay into its main list. fullShard, the one
+// sort of the whole shard, runs only on first use and on dirty overflow
+// (a restore raises it).
 //
 // Shards are fixed at construction from the same shard.Range partition
 // Pool.Run dispatches, so a worker only ever touches its own arena —
-// and the shared per-id arrays (fairVer, dirtyMark) at its own disjoint
-// id range. Everything here is derived cache, rebuilt from the cluster
-// on demand; checkpoints never see it.
+// and the shared fairVer stamps at its own disjoint id range.
+// Everything here is derived cache, rebuilt from the cluster on demand;
+// checkpoints never see it.
 type fairShard struct {
-	idle    []idleEntry // main idle list; may carry stale entries
-	extra   []idleEntry // sorted overlay of re-keyed idle entries
-	scratch []idleEntry // overlay merge scratch
-	patch   []idleEntry // per-pass freshly idle keys
-	carry   []int32     // busy processors in last pass's order
-	busy    []utilKey
-	busy2   []utilKey
-	bpatch  []utilKey
-	dirty   []int32   // this pass's dirty ids within [lo, hi)
-	keys    []utilKey // full-pass key scratch, retained sorted
-	stale   int       // stale entries abandoned since the last full pass
-	listsOK bool
-	// Pass cursors into idle/extra/busy, plus the cached merge head:
-	// the least not-yet-consumed (u, id) of the shard's three sources,
-	// or headSrc == 0 when the shard is exhausted.
-	ii, ei, bi int
-	headU      units.Seconds
-	headID     int32
-	headSrc    int8 // 0 none, 1 main idle, 2 overlay, 3 busy
+	idle, busy fairList
+	stale      int // entries abandoned since the last compaction
+	listsOK    bool
+	// win holds busy keys pulled in offset order and not yet emitted,
+	// sorted by (u, id) from wi on; lastK is the last pulled key.
+	win   []utilKey
+	wi    int
+	lastK units.Seconds
+	// keyed counts the busy keys this pass has computed: at most the
+	// busy entries it emits plus the window's overhang, len(win) − wi.
+	keyed int
+	// The cached merge head: the least not-yet-consumed (u, id) of the
+	// shard, or headSrc == 0 when the shard is exhausted.
+	headU   units.Seconds
+	headID  int32
+	headSrc int8 // 0 none, 1 idle, 2 busy window
 }
 
 // parState carries the worker pool and the sharded fair order for one
@@ -78,28 +188,23 @@ type parState struct {
 
 	// Sharded retained fair order (see fairShard) plus the pass inputs
 	// published to the repair kernel. fairVer is each processor's
-	// idle-entry version, bumped when the cluster reports it dirty;
-	// dirtyMark is the epoch-stamped dirty membership of the current
-	// pass; utilBuf is the full-pass utilization snapshot. All three are
-	// indexed by processor id, and each shard writes only its own range.
+	// entry version, bumped when the cluster reports it dirty; each
+	// shard writes only its own id range.
 	fairSh        []fairShard
 	dirtyAll      []int32
 	dirtyOverflow bool
 	fairVer       []int32
-	dirtyMark     []int64
-	dirtyEpoch    int64
-	utilBuf       []units.Seconds
 
-	// now is the pass instant, published to workers by Pool.Run's
-	// dispatch (channel send happens-before the worker's read), and
-	// fairRepK the pass kernel, bound once so dispatch does not
-	// allocate a closure.
+	// now is the pass instant busy keys are computed at and margin its
+	// busy-window rounding margin (see busyHead); fairRepK is the pass
+	// kernel, bound once so dispatch does not allocate a closure.
 	now      units.Seconds
+	margin   units.Seconds
 	fairRepK func(int, int, int)
 }
 
 // newParState builds the fair-order tier: the shard pool and one
-// retained shard per worker. The id-indexed buffers are sized by the
+// retained shard per worker. The id-indexed stamps are sized by the
 // first pass, on the event goroutine, so a run whose policy never asks
 // for the fair order pays nothing for it.
 func newParState(s *sim, workers int) *parState {
@@ -121,20 +226,17 @@ func (s *sim) close() {
 }
 
 // fairPass runs one sharded pass: publish the pass instant and the
-// cluster's dirty feed, repair every shard in parallel, then refresh
+// cluster's dirty feed, repair every shard in parallel, then settle
 // the merge heads. Caller (ensureFairPass) handles the pass cache and
 // the dirty-feed reset.
 func (p *parState) fairPass(now units.Seconds, dirty []int32, overflow bool) {
 	s := p.s
 	if p.fairVer == nil {
-		n := len(s.dc.Procs)
-		s.fairOrder = make([]int, 0, n)
-		p.fairVer = make([]int32, n)
-		p.dirtyMark = make([]int64, n)
-		p.utilBuf = make([]units.Seconds, n)
+		s.fairOrder = make([]int, 0, len(s.dc.Procs))
+		p.fairVer = make([]int32, len(s.dc.Procs))
 	}
-	p.dirtyEpoch++ // one epoch per pass, shared by every shard
 	p.now = now
+	p.margin = now * 0x1p-49
 	p.dirtyAll = dirty
 	p.dirtyOverflow = overflow
 	p.pool.Run(len(s.dc.Procs), p.fairRepK)
@@ -144,212 +246,153 @@ func (p *parState) fairPass(now units.Seconds, dirty []int32, overflow bool) {
 	}
 }
 
-// fairShardPass is the per-shard kernel: bucketize the dirty feed to
-// the shard's id range, then repair the retained lists while the dirt
-// stays below the shard's thresholds (an eighth of the shard dirty, or
-// max(1024, shard/32) stale entries accumulated) or rebuild them
-// wholesale. The full-vs-repair choice is per shard and purely a
-// performance decision — both paths rederive the identical sorted
-// sources.
+// fairShardPass is the per-shard kernel: rebuild the shard on first
+// use or dirty overflow, repair it around its dirty ids otherwise, and
+// rewind the pass cursors.
 func (p *parState) fairShardPass(sh, lo, hi int) {
 	fs := &p.fairSh[sh]
-	// Every shard scans the whole dirty feed for its own ids: O(dirty)
-	// per worker in wall clock, with no serial partition step.
-	d := fs.dirty[:0]
-	if !p.dirtyOverflow {
-		for _, id := range p.dirtyAll {
-			if int(id) >= lo && int(id) < hi {
-				d = append(d, id)
-			}
-		}
-	}
-	fs.dirty = d
-	n := hi - lo
-	staleMax := n / 32
-	if staleMax < 1024 {
-		staleMax = 1024
-	}
-	if fs.listsOK && !p.dirtyOverflow && len(d) <= n/8 &&
-		fs.stale+len(d) <= staleMax {
-		p.repairShard(fs)
+	if fs.listsOK && !p.dirtyOverflow {
+		p.repairShard(fs, lo, hi)
 	} else {
 		p.fullShard(fs, lo, hi)
 	}
-	fs.ii, fs.ei, fs.bi = 0, 0, 0
+	fs.idle.mi, fs.idle.ei, fs.busy.mi, fs.busy.ei = 0, 0, 0, 0
+	fs.win, fs.wi, fs.keyed = fs.win[:0], 0, 0
 }
 
-// fullShard is the non-incremental rebuild of [lo, hi): one sort of the
-// shard's keys, then the idle/busy partition that seeds the retained
-// lists, shedding stale entries and the overlay. Keys are re-keyed in
-// the previous full pass's sorted order: busy processors all accrue
-// utilization at the same rate, so the permutation only changes where
-// a busy processor overtakes an idle one. The nearly sorted input hits
-// pdqsort's partial-insertion fast path, and because (u, id) is a
-// strict total order the result is identical from any starting
-// permutation. Idle keys are exact (no in-flight term), so the
-// partition seeds the lists directly; entries written at the
-// processors' current stamps are valid without touching fairVer —
-// abandoned husks all carry older stamps.
+// fullShard is the non-incremental rebuild of [lo, hi): one entry per
+// processor, idle ones keyed by utilTime and busy ones by offset, and a
+// sort of each list, shedding stale entries and the overlays. Entries
+// written at the processors' current stamps are valid without touching
+// fairVer — abandoned husks all carry older stamps.
 func (p *parState) fullShard(fs *fairShard, lo, hi int) {
-	s, now := p.s, p.now
-	s.dc.UtilShard(p.utilBuf, now, lo, hi)
-	keys := fs.keys
-	if len(keys) != hi-lo {
-		keys = keys[:0]
-		for id := lo; id < hi; id++ {
-			keys = append(keys, utilKey{id: id})
-		}
-	}
-	for i := range keys {
-		keys[i].u = p.utilBuf[keys[i].id]
-	}
-	slices.SortFunc(keys, utilAsc)
-	fs.keys = keys
-	fs.idle = fs.idle[:0]
-	fs.extra = fs.extra[:0]
-	fs.stale = 0
-	fs.carry = fs.carry[:0]
-	fs.busy = fs.busy[:0]
-	for _, k := range keys {
-		if s.dc.IsBusy(k.id) {
-			fs.carry = append(fs.carry, int32(k.id))
-			fs.busy = append(fs.busy, k)
+	dc, ver := p.s.dc, p.fairVer
+	idle, busy := fs.idle.main[:0], fs.busy.main[:0]
+	for id := lo; id < hi; id++ {
+		if dc.IsBusy(id) {
+			busy = append(busy, fairEntry{key: dc.UtilOffset(id), id: int32(id), ver: ver[id]})
 		} else {
-			fs.idle = append(fs.idle, idleEntry{u: k.u, id: int32(k.id), ver: p.fairVer[k.id]})
+			idle = append(idle, fairEntry{key: dc.UtilTimeOf(id), id: int32(id), ver: ver[id]})
 		}
 	}
+	slices.SortFunc(idle, fairAsc)
+	slices.SortFunc(busy, fairAsc)
+	fs.idle.main, fs.idle.extra = idle, fs.idle.extra[:0]
+	fs.busy.main, fs.busy.extra = busy, fs.busy.extra[:0]
+	fs.stale = 0
 	fs.listsOK = true
 }
 
-// repairShard refreshes the shard's pass sources around its dirty ids
-// alone. Dirty processors have every old idle entry invalidated by one
-// fairVer bump (the shard's ids only, so the shared fairVer/dirtyMark
-// writes are disjoint across workers); the ones idle now contribute one
-// fresh entry merged into the overlay, and the ones busy now join the
-// re-keyed busy list. Idle keys are utilTime exactly and busy keys use
-// the same float expression as UtilShard (see Datacenter.UtilAt), so
-// every key equals the one fullShard would compute and the streamed
-// merge — under the strict (u, id) order — is identical to the full
-// sort.
-func (p *parState) repairShard(fs *fairShard) {
-	s, now := p.s, p.now
-	for _, id := range fs.dirty {
-		p.dirtyMark[id] = p.dirtyEpoch
-		p.fairVer[id]++
-	}
-	fs.stale += len(fs.dirty)
-
-	// Re-key the busy carry in its retained order. In real arithmetic
-	// every continuously busy processor's key shifts by the same amount
-	// between passes, so the carried order is preserved; float rounding
-	// can flip near-ties by an ulp, so any re-keyed element that lands
-	// below its predecessor is extracted into the busy patch instead of
-	// trusted. Only the small patch (extracted flips plus dirty
-	// processors that are busy now) is sorted and merged back, which
-	// keeps the pass linear in the busy minority, not the shard.
-	busy := fs.busy[:0]
-	bpatch := fs.bpatch[:0]
-	for _, id := range fs.carry {
-		if p.dirtyMark[id] == p.dirtyEpoch {
+// repairShard refreshes the shard around its dirty ids alone. Every
+// shard scans the whole dirty feed for its own ids: O(dirty) per worker
+// in wall clock, with no serial partition step. A dirty processor's old
+// entry dies with one fairVer bump (the shard's ids only, so the shared
+// stamp writes are disjoint across workers) and its fresh entry, keyed
+// by what the cluster holds now, joins the idle or the busy overlay.
+// Each new entry abandons exactly one old one; once the abandoned
+// entries pass max(1024, shard/32), compaction merges each overlay into
+// its main list, which keeps the overlays a small fraction of the
+// shard.
+func (p *parState) repairShard(fs *fairShard, lo, hi int) {
+	dc, ver := p.s.dc, p.fairVer
+	for _, id := range p.dirtyAll {
+		if int(id) < lo || int(id) >= hi {
 			continue
 		}
-		k := utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)}
-		if n := len(busy); n > 0 && utilAsc(k, busy[n-1]) < 0 {
-			bpatch = append(bpatch, k)
+		ver[id]++
+		if dc.IsBusy(int(id)) {
+			fs.busy.batch = append(fs.busy.batch, fairEntry{key: dc.UtilOffset(int(id)), id: id, ver: ver[id]})
 		} else {
-			busy = append(busy, k)
+			fs.idle.batch = append(fs.idle.batch, fairEntry{key: dc.UtilTimeOf(int(id)), id: id, ver: ver[id]})
 		}
+		fs.stale++
 	}
-	patch := fs.patch[:0]
-	for _, id := range fs.dirty {
-		if s.dc.IsBusy(int(id)) {
-			bpatch = append(bpatch, utilKey{u: s.dc.UtilAt(int(id), now), id: int(id)})
-		} else {
-			patch = append(patch, idleEntry{u: s.dc.UtilTimeOf(int(id)), id: id, ver: p.fairVer[id]})
-		}
+	fs.idle.add()
+	fs.busy.add()
+	if fs.stale > max(1024, (hi-lo)/32) {
+		fs.idle.compact(ver)
+		fs.busy.compact(ver)
+		fs.stale = 0
 	}
-	slices.SortFunc(bpatch, utilAsc)
-	if len(bpatch) > 0 {
-		merged := fs.busy2[:0]
-		bj := 0
-		for _, k := range busy {
-			for bj < len(bpatch) && utilAsc(bpatch[bj], k) < 0 {
-				merged = append(merged, bpatch[bj])
-				bj++
-			}
-			merged = append(merged, k)
-		}
-		merged = append(merged, bpatch[bj:]...)
-		busy, fs.busy2 = merged, busy[:0]
-	}
-	fs.busy = busy
-	fs.bpatch = bpatch[:0]
-
-	fs.carry = fs.carry[:0]
-	for _, k := range busy {
-		fs.carry = append(fs.carry, int32(k.id))
-	}
-
-	// Fold the freshly idle keys into the overlay. The main idle list is
-	// untouched — the dirty processors' entries there are already dead
-	// via the stamp bump — so this costs the overlay's size, which
-	// compaction keeps a small fraction of the shard.
-	if len(patch) > 0 {
-		slices.SortFunc(patch, idleAsc)
-		merged := fs.scratch[:0]
-		j := 0
-		for _, k := range fs.extra {
-			for j < len(patch) && idleAsc(patch[j], k) < 0 {
-				merged = append(merged, patch[j])
-				j++
-			}
-			merged = append(merged, k)
-		}
-		merged = append(merged, patch[j:]...)
-		fs.extra, fs.scratch = merged, fs.extra[:0]
-	}
-	fs.patch = patch[:0]
 }
 
-// shardHead refreshes the shard's cached merge head: the least (u, id)
-// among its three sources — the main idle list and the overlay (both
-// skipping entries whose version stamp is stale) and the busy keys —
-// cached so the global argmin below touches one struct per shard.
-// Validity is frozen with the pass: stamps only move in repairShard, so
-// a processor placed mid-pass keeps its pass-entry position exactly as
-// the cached-permutation semantics require. At most one idle entry per
-// processor is valid and busy processors never have one, so the heads
-// are distinct (u, id) keys and the strict comparison needs no dedup.
-func (p *parState) shardHead(fs *fairShard) {
-	ver := p.fairVer
-	for fs.ii < len(fs.idle) && fs.idle[fs.ii].ver != ver[fs.idle[fs.ii].id] {
-		fs.ii++
-	}
-	for fs.ei < len(fs.extra) && fs.extra[fs.ei].ver != ver[fs.extra[fs.ei].id] {
-		fs.ei++
-	}
-	fs.headSrc = 0
-	if fs.ii < len(fs.idle) {
-		e := fs.idle[fs.ii]
-		fs.headU, fs.headID, fs.headSrc = e.u, e.id, 1
-	}
-	if fs.ei < len(fs.extra) {
-		if e := fs.extra[fs.ei]; fs.headSrc == 0 || e.u < fs.headU || (e.u == fs.headU && e.id < fs.headID) {
-			fs.headU, fs.headID, fs.headSrc = e.u, e.id, 2
+// busyHead settles the shard's busy window and reports whether the
+// shard has a busy entry left; the least is then fs.win[fs.wi]. Entries
+// leave the busy list in (offset, id) order and are keyed on the way
+// into the window, which keeps them sorted by (u, id). The window's
+// least entry is the shard's least busy key once no unpulled entry can
+// undercut it, and it stops pulling exactly then.
+//
+// Why a margin of now·2⁻⁴⁹ proves that. Write t = utilTime,
+// b = busySince and ε = 2⁻⁵³: binary64 rounds a sum or difference x to
+// fl(x) with |fl(x) − x| ≤ ε|x|. An entry's offset is o = fl(t − b), its
+// key the UtilAt expression k = fl(t + fl(now − b)), and its real key
+// K = now + (t − b). The clock is monotone and start stamps busySince
+// with the then-current instant, so 0 ≤ b ≤ now; utilization is a sum of
+// disjoint busy spans, so 0 ≤ t ≤ 2·now with room to spare for the
+// accrual's rounding. Hence |t − b| ≤ 2·now and |t + fl(now − b)| ≤
+// 3·now, every offset and key lies within a few now in magnitude, and
+//
+//	|o − (t − b)| ≤ 2ε·now,   |k − K| ≤ ε·now + 3ε·now = 4ε·now.
+//
+// Let l be the last pulled entry and j any unpulled one; pulls go in
+// offset order, so o_j ≥ o_l. Then
+//
+//	k_j ≥ K_j − 4ε·now ≥ now + o_j − 6ε·now ≥ now + o_l − 6ε·now,
+//	k_l ≤ K_l + 4ε·now ≤ now + o_l + 6ε·now,
+//
+// so k_j ≥ k_l − 12ε·now. The window's least key m is released when
+// fl(k_l − m) > margin = 16ε·now. That fails for k_l ≤ m, and
+// otherwise gives k_l − m ≥ fl(k_l − m)/(1 + ε) > 12ε·now, so m < k_j:
+// strictly, so the id tie-break never reaches across the window edge.
+// Emission is therefore the unique strict (u, id) permutation of the
+// keys UtilAt computes. At now = 0 every key is exactly 0, the margin
+// is 0 and the window drains the list, again exactly.
+func (p *parState) busyHead(fs *fairShard) bool {
+	for {
+		e, more := fs.busy.peek(p.fairVer)
+		if fs.wi < len(fs.win) && (!more || fs.lastK-fs.win[fs.wi].u > p.margin) {
+			return true
+		}
+		if !more {
+			return false
+		}
+		fs.busy.pop()
+		if fs.wi == len(fs.win) {
+			fs.win, fs.wi = fs.win[:0], 0
+		}
+		k := utilKey{u: p.s.dc.UtilAt(int(e.id), p.now), id: int(e.id)}
+		fs.keyed++
+		fs.lastK = k.u
+		fs.win = append(fs.win, k)
+		for i := len(fs.win) - 1; i > fs.wi && utilAsc(fs.win[i], fs.win[i-1]) < 0; i-- {
+			fs.win[i], fs.win[i-1] = fs.win[i-1], fs.win[i]
 		}
 	}
-	if fs.bi < len(fs.busy) {
-		if k := fs.busy[fs.bi]; fs.headSrc == 0 || k.u < fs.headU || (k.u == fs.headU && int32(k.id) < fs.headID) {
-			fs.headU, fs.headID, fs.headSrc = k.u, int32(k.id), 3
+}
+
+// shardHead refreshes the shard's cached merge head: the lesser of the
+// idle list's least valid entry and the settled busy window's least
+// key, cached so the global argmin below touches one struct per shard.
+// At most one entry per processor is valid, so the heads are distinct
+// (u, id) keys and the strict comparison needs no dedup.
+func (p *parState) shardHead(fs *fairShard) {
+	fs.headSrc = 0
+	if e, ok := fs.idle.peek(p.fairVer); ok {
+		fs.headU, fs.headID, fs.headSrc = e.key, e.id, 1
+	}
+	if p.busyHead(fs) {
+		if k := fs.win[fs.wi]; fs.headSrc == 0 || k.u < fs.headU || (k.u == fs.headU && int32(k.id) < fs.headID) {
+			fs.headU, fs.headID, fs.headSrc = k.u, int32(k.id), 2
 		}
 	}
 }
 
 // parExtendFair appends the next processor in global (u, id) order to
 // the fairOrder memo: a linear argmin over the shard heads (id ranges
-// are disjoint, so ties resolve within a single shard's 3-way compare),
-// then one cursor advance and head refresh on the taken shard. Returns
-// false once every shard is exhausted.
+// are disjoint, so ties resolve within a single shard's compare), then
+// one cursor advance and head refresh on the taken shard. Returns false
+// once every shard is exhausted.
 func (p *parState) parExtendFair() bool {
 	best := -1
 	var (
@@ -369,13 +412,10 @@ func (p *parState) parExtendFair() bool {
 		return false
 	}
 	fs := &p.fairSh[best]
-	switch fs.headSrc {
-	case 1:
-		fs.ii++
-	case 2:
-		fs.ei++
-	default:
-		fs.bi++
+	if fs.headSrc == 1 {
+		fs.idle.pop()
+	} else {
+		fs.wi++
 	}
 	p.s.fairOrder = append(p.s.fairOrder, int(bid))
 	p.shardHead(fs)

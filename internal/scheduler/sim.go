@@ -399,36 +399,11 @@ type procAvail struct {
 	avail units.Seconds
 }
 
-// utilKey pairs a processor with its utilization sort key so the fair
-// order sorts precomputed values instead of re-deriving them per
-// comparison.
+// utilKey pairs a processor with its utilization key: a computed busy
+// key in the fair order's busy window (see busyHead).
 type utilKey struct {
 	u  units.Seconds
 	id int
-}
-
-// idleEntry is one idle processor's position in the retained fair
-// order. Entries are never deleted from the sorted lists they live in;
-// an entry is authoritative iff its ver matches the processor's current
-// fairVer stamp, so invalidating every entry of a dirtied processor is
-// one counter bump and iteration simply skips the husks. At most one
-// entry per processor can be valid at a time: each dirty pass bumps the
-// stamp once and writes exactly one fresh entry.
-type idleEntry struct {
-	u       units.Seconds
-	id, ver int32
-}
-
-// idleAsc orders idle entries by the same strict (u, id) key as
-// utilAsc; ver is bookkeeping, never part of the sort key.
-func idleAsc(a, b idleEntry) int {
-	if a.u != b.u {
-		if a.u < b.u {
-			return -1
-		}
-		return 1
-	}
-	return int(a.id) - int(b.id)
 }
 
 // slackEntry pairs a running slice (by position in the scratch slice
@@ -1316,12 +1291,16 @@ func (s *sim) leastUsedOrder(now units.Seconds) []int {
 }
 
 // ensureFairPass begins a fair-order pass for the given instant unless
-// the current one is still valid. A pass freezes the order's sources —
-// the idle lists, the busy keys, and the fairVer validity stamps — at
-// entry, so cluster mutations later at the same instant do not bleed
-// into an order already being consumed (matching the naive reference,
-// which caches the fully sorted permutation per event time). The pass
-// itself runs per shard (see parState.fairPass).
+// the current one is still valid. The pass folds the cluster's dirty
+// feed into the shards' retained lists and freezes their fairVer
+// validity stamps (see parState.fairPass). Idle keys live in the lists,
+// but a busy key is computed from the cluster's utilTime and busySince
+// only when emission reaches it, so the emitted order is exact only
+// while the cluster holds still. It does: a pass is consumed by a single
+// selectProcs, which mutates no cluster state, and place invalidates
+// the pass before each selection, so the slices it then starts never
+// reach a pass already begun. leastUsedOrder drains a pass before its
+// caller can mutate anything.
 func (s *sim) ensureFairPass(now units.Seconds) {
 	if s.fairValid && s.fairOrderAt == now {
 		return
