@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"sort"
+	"strconv"
 
 	"iscope/internal/battery"
 	"iscope/internal/brownout"
@@ -195,8 +196,10 @@ func cfgHash(cfg RunConfig) uint64 {
 	hashCfgFields(put, &cfg)
 	if cfg.Jobs != nil {
 		put("jobs=%d", len(cfg.Jobs.Jobs))
+		var buf []byte
 		for i := range cfg.Jobs.Jobs {
-			hashJob(put, &cfg.Jobs.Jobs[i])
+			buf = appendJob(buf[:0], &cfg.Jobs.Jobs[i])
+			h.Write(buf)
 		}
 	}
 	return h.Sum64()
@@ -211,14 +214,48 @@ func (s *sim) configHash() uint64 {
 	put := func(format string, args ...any) { fmt.Fprintf(h, format+"|", args...) }
 	hashCfgFields(put, &s.cfg)
 	put("jobs=%d", len(s.states))
+	var buf []byte
 	for i := range s.states {
-		hashJob(put, s.states[i].job)
+		buf = appendJob(buf[:0], s.states[i].job)
+		h.Write(buf)
 	}
 	return h.Sum64()
 }
 
-func hashJob(put func(string, ...any), j *workload.Job) {
-	put("%d,%v,%v,%v,%v,%v", j.ID, j.Submit, j.Runtime, j.Procs, j.Boundness, j.Deadline)
+// appendJob appends one job's section of the config hash. Its bytes are
+// frozen at what fmt wrote for format v4 — "%d,%v,%v,%v,%v,%v|" over
+// ID, Submit, Runtime, Procs, Boundness and Deadline, times in
+// units.Seconds' display formats of that version — so the hash no
+// longer depends on fmt or on later edits to a display method, and
+// strconv's appenders write it without fmt's per-call cost.
+func appendJob(b []byte, j *workload.Job) []byte {
+	b = strconv.AppendInt(b, int64(j.ID), 10)
+	b = append(b, ',')
+	b = appendSecondsV4(b, j.Submit)
+	b = append(b, ',')
+	b = appendSecondsV4(b, j.Runtime)
+	b = append(b, ',')
+	b = strconv.AppendInt(b, int64(j.Procs), 10)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, j.Boundness, 'g', -1, 64) // fmt's %v
+	b = append(b, ',')
+	b = appendSecondsV4(b, j.Deadline)
+	return append(b, '|')
+}
+
+// appendSecondsV4 appends s the way units.Seconds.String printed it in
+// format v4: two decimals of days or hours, one of minutes or seconds.
+func appendSecondsV4(b []byte, s units.Seconds) []byte {
+	v := float64(s)
+	switch {
+	case s >= 86400:
+		return append(strconv.AppendFloat(b, v/86400, 'f', 2, 64), " d"...)
+	case s >= 3600:
+		return append(strconv.AppendFloat(b, v/3600, 'f', 2, 64), " h"...)
+	case s >= 60:
+		return append(strconv.AppendFloat(b, v/60, 'f', 1, 64), " min"...)
+	}
+	return append(strconv.AppendFloat(b, v, 'f', 1, 64), " s"...)
 }
 
 // hashCfgFields feeds every trajectory-shaping RunConfig field except

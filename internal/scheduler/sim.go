@@ -586,29 +586,12 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		initialJobs = cfg.Jobs.Jobs
 	}
 
-	// Event-queue backend. Optimized runs bucket events on the run's
-	// tick grid (the supply/matching period — the timestamps events
-	// cluster at); naive runs keep the plain 4-ary heap so the
-	// equivalence suite proves the two backends pop bit-identically.
-	// The grid is a performance hint only: off-grid and far-future
-	// events overflow to the retained heap inside the engine.
-	grid := cfg.MatchInterval
-	if grid <= 0 {
-		if cfg.Wind != nil {
-			grid = cfg.Wind.Interval
-		} else {
-			grid = units.Minutes(10)
-		}
-	}
-	// Pending events peak at the not-yet-arrived jobs (all scheduled
-	// up front) plus one completion per processor and a few ticks.
-	evCap := len(initialJobs) + len(fleet.Chips) + 16
-	var eng *simulator.Engine[eventTag]
-	if cfg.naive {
-		eng = simulator.NewWithCapacity[eventTag](evCap)
-	} else {
-		eng = simulator.NewCalendarWithCapacity[eventTag](grid, evCap)
-	}
+	// Pending events peak at the not-yet-arrived jobs plus one
+	// completion per processor and a few ticks. The arrivals, pushed up
+	// front in trace order, append to the engine's in-order run;
+	// completions and ticks land between them, before the run's tail,
+	// and take the heap. Naive and optimized runs share this engine.
+	eng := simulator.NewWithCapacity[eventTag](len(initialJobs), len(fleet.Chips)+16)
 
 	s := &sim{
 		eng:       eng,
@@ -674,8 +657,8 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 	// everything else (ticks, completions) above the band. Same-timestamp
 	// tie-breaking between an arrival and any other event is therefore a
 	// pure function of the job index, independent of *when* the arrival
-	// entered the heap: a job injected late merges into exactly the slot
-	// a batch run would have given it.
+	// entered the queue: a job injected late merges into exactly the
+	// position a batch run would have given it.
 	s.open = streaming
 	s.states = make([]jobState, len(initialJobs))
 	s.stateIdx = make(map[*workload.Job]int, len(initialJobs))

@@ -15,8 +15,8 @@ import (
 // sequence number jobIndex+1 below this base, while the engine counter
 // issues all other sequence numbers above it. Tie-breaking between an
 // arrival and any same-timestamp event is therefore a pure function of
-// the job index, so a late InjectJob merges into exactly the heap slot
-// a batch run would have given the same job. 1<<40 leaves room for a
+// the job index, so a late InjectJob merges into exactly the queue
+// position a batch run would have given the same job. 1<<40 leaves room for a
 // trillion jobs below and 2^24 of headroom per event above.
 const arrivalSeqBase = uint64(1) << 40
 
@@ -29,8 +29,8 @@ const arrivalSeqBase = uint64(1) << 40
 // The determinism contract carries over from Run: driving a sealed
 // stepper to completion yields a Result (and checkpoint bytes)
 // bit-identical to Run over the same trace, and a job injected while
-// the clock is strictly before its submit time lands in the same heap
-// slot a batch run would have given it. The Stepper is not safe for
+// the clock is strictly before its submit time lands in the same queue
+// position a batch run would have given it. The Stepper is not safe for
 // concurrent use; callers serialize access (the service wraps one
 // mutex per tenant).
 type Stepper struct {
@@ -61,11 +61,11 @@ func newStepper(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*St
 	return &Stepper{s: s}, nil
 }
 
-// HasPendingEvents reports whether the event heap is non-empty.
+// HasPendingEvents reports whether the event queue is non-empty.
 func (st *Stepper) HasPendingEvents() bool { return st.s.eng.Pending() > 0 }
 
 // PeekNextEventTime returns the virtual time of the event
-// ProcessNextEvent would fire next; ok is false when the heap is
+// ProcessNextEvent would fire next; ok is false when the queue is
 // empty.
 func (st *Stepper) PeekNextEventTime() (at units.Seconds, ok bool) {
 	at, _, ok = st.s.eng.PeekNext()
@@ -85,7 +85,7 @@ func (st *Stepper) Sealed() bool { return !st.s.open }
 func (st *Stepper) Finished() bool { return !st.s.open && st.s.jobsLeft == 0 }
 
 // ProcessNextEvent fires the earliest pending event, advancing the
-// clock. fired is false when the heap is empty. A latched fail-fast
+// clock. fired is false when the queue is empty. A latched fail-fast
 // invariant violation or a terminal result surfaces as an error and no
 // event fires.
 func (st *Stepper) ProcessNextEvent() (fired bool, err error) {
@@ -98,19 +98,20 @@ func (st *Stepper) ProcessNextEvent() (fired bool, err error) {
 	return st.s.eng.Step(), nil
 }
 
-// ProcessEventBatch fires the earliest pending event and then the rest
-// of its same-timestamp calendar run in one engine call, eliminating
-// the per-event heap/ring re-probing of a ProcessNextEvent loop. It
-// returns the number of events fired (zero when the queue is empty).
-// The fired sequence is bit-identical to calling ProcessNextEvent that
-// many times: newly scheduled events — even at the same timestamp —
-// carry larger sequence numbers and sort after the whole run. The
-// dispatch stops mid-batch as soon as the run is terminally done (the
+// ProcessEventBatch fires every event pending at the front timestamp in
+// one engine call, gathered from the engine's in-order run and its heap
+// at once instead of probing both per event as a ProcessNextEvent loop
+// does. It returns the number of events fired (zero when the queue is
+// empty). The fired sequence is bit-identical to calling
+// ProcessNextEvent that many times: newly scheduled events — even at
+// the same timestamp — carry larger sequence numbers and sort after the
+// whole batch, so they fire in the next call. The dispatch stops
+// mid-batch as soon as the run is terminally done (the
 // stream sealed and its last job finished, or a fail-fast invariant
 // latched — surfaced as an error on the next call), the states in which
 // a single-step driver would strand the same events in the queue
 // forever. On an open stream a finished job ends nothing — more may
-// arrive — so the whole run fires.
+// arrive — so the whole batch fires.
 func (st *Stepper) ProcessEventBatch() (fired int, err error) {
 	if st.result != nil {
 		return 0, fmt.Errorf("scheduler: step after the result was assembled")
@@ -145,7 +146,7 @@ func (st *Stepper) AdvanceTo(t units.Seconds) (int, error) {
 
 // InjectJob adds one job to the open stream, arriving at virtual time
 // at (the job's Submit field is overwritten with at). The arrival
-// merges into the event heap under the reserved arrival sequence band,
+// merges into the event queue under the reserved arrival sequence band,
 // so as long as at is strictly after the current clock the resulting
 // trajectory is bit-identical to a batch run whose trace contained the
 // job all along. at == Now is accepted — the arrival fires before any
@@ -175,7 +176,7 @@ func (st *Stepper) InjectJob(at units.Seconds, job workload.Job) (int, error) {
 	s.stateIdx[jp] = idx
 	s.jobsLeft++
 	if err := s.eng.InjectTag(at, uint64(idx)+1, eventTag{Kind: tagArrival, A: int32(idx)}); err != nil {
-		// Roll the bookkeeping back; the heap was not touched.
+		// Roll the bookkeeping back; the queue was not touched.
 		s.states = s.states[:idx]
 		delete(s.stateIdx, jp)
 		s.jobsLeft--

@@ -339,8 +339,9 @@ func TestPeekNext(t *testing.T) {
 	}
 }
 
-// The 4-ary heap must pop an adversarial mix of times and insertion
-// orders in exactly (at, seq) order.
+// The queue must pop an adversarial mix of times and insertion orders
+// in exactly (at, seq) order, whichever of the run and the 4-ary heap
+// each push took.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(ats []uint8) bool {
 		e := New[int]()
@@ -361,11 +362,9 @@ func TestHeapOrderProperty(t *testing.T) {
 			return want[i].seq < want[j].seq
 		})
 		var got []key
-		e.SetDispatcher(func(tag int, now units.Seconds) {})
-		for i := 0; len(e.pq) > 0; i++ {
-			n := e.pop()
+		for e.Pending() > 0 {
+			n := e.popMin()
 			got = append(got, key{n.at, n.seq})
-			_ = i
 		}
 		if len(got) != len(want) {
 			return false
@@ -384,7 +383,7 @@ func TestHeapOrderProperty(t *testing.T) {
 
 // Tag scheduling on a warmed engine allocates nothing.
 func TestScheduleTagAllocFree(t *testing.T) {
-	e := NewWithCapacity[int](64)
+	e := NewWithCapacity[int](64, 64)
 	e.SetDispatcher(func(int, units.Seconds) {})
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 32; i++ {
@@ -400,7 +399,7 @@ func TestScheduleTagAllocFree(t *testing.T) {
 }
 
 func BenchmarkScheduleAndStep(b *testing.B) {
-	e := NewWithCapacity[int](1024)
+	e := NewWithCapacity[int](1024, 1024)
 	e.SetDispatcher(func(int, units.Seconds) {})
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
