@@ -235,6 +235,22 @@ func BenchmarkFleetGeneration(b *testing.B) {
 	}
 }
 
+// BenchmarkBuildFleet measures a whole fleet build (chip generation,
+// factory binning and the full iScope scan) at the paper's 4,800 procs
+// and at 48,000.
+func BenchmarkBuildFleet(b *testing.B) {
+	for _, procs := range []int{4800, 48000} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, procs)); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkAblations runs the full design-choice ablation suite
 // (guardband, theta, bin granularity, matching, battery, oracle,
 // aging) at quick scale.

@@ -11,8 +11,9 @@
 package binning
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"iscope/internal/power"
 	"iscope/internal/units"
@@ -69,15 +70,22 @@ func Assign(chips []*variation.Chip, tbl *power.Table, nbins int, factoryGuard f
 		nbins = len(chips)
 	}
 
-	order := make([]int, len(chips))
-	for i := range order {
-		order[i] = i
-	}
+	// Sorting by (key, id) gives exactly the permutation a stable sort
+	// by key gives, with each chip's key computed once.
 	fmax := float64(tbl.Fmax())
-	sort.SliceStable(order, func(a, b int) bool {
-		return chips[order[a]].NominalPower(fmax) < chips[order[b]].NominalPower(fmax)
+	keyed := make([]keyedChip, len(chips))
+	for id, ch := range chips {
+		keyed[id] = keyedChip{key: ch.NominalPower(fmax), id: id}
+	}
+	slices.SortFunc(keyed, func(a, b keyedChip) int {
+		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
 	})
+	order := make([]int, len(chips))
+	for i := range keyed {
+		order[i] = keyed[i].id
+	}
 
+	levels := tbl.NumLevels()
 	b := &Binning{
 		Bins:    make([]Bin, nbins),
 		ChipBin: make([]int, len(chips)),
@@ -87,34 +95,47 @@ func Assign(chips []*variation.Chip, tbl *power.Table, nbins int, factoryGuard f
 	for i := range b.Bins {
 		lo := i * len(chips) / nbins
 		hi := (i + 1) * len(chips) / nbins
-		bin := Bin{
-			Index:       i,
-			Members:     append([]int(nil), order[lo:hi]...),
-			VddPerLevel: make([]units.Volts, tbl.NumLevels()),
+		for _, id := range order[lo:hi] {
+			b.ChipBin[id] = i
 		}
+		// Members are sorted by key, so the last is the worst.
+		b.Bins[i] = Bin{
+			Index:             i,
+			Members:           order[lo:hi:hi],
+			WorstNominalPower: units.Watts(keyed[hi-1].key),
+		}
+	}
+	// Each bin's worst-member MinVdd per level, in one pass in chip-ID
+	// order: a maximum does not depend on the order it is taken in.
+	worst := make([]float64, nbins*levels)
+	for id, ch := range chips {
+		w := worst[b.ChipBin[id]*levels:][:levels]
+		for l := range w {
+			if v := ch.MinVdd(l, float64(tbl.Levels[l].Vnom), false); v > w[l] {
+				w[l] = v
+			}
+		}
+	}
+	vdd := make([]units.Volts, nbins*levels)
+	for i := range b.Bins {
+		bin := &b.Bins[i]
+		bin.VddPerLevel = vdd[i*levels : (i+1)*levels : (i+1)*levels]
 		for l := range bin.VddPerLevel {
 			vnom := float64(tbl.Levels[l].Vnom)
-			worst := 0.0
-			for _, id := range bin.Members {
-				if v := chips[id].MinVdd(l, vnom, false); v > worst {
-					worst = v
-				}
-			}
-			v := worst * (1 + factoryGuard)
+			v := worst[i*levels+l] * (1 + factoryGuard)
 			if v > vnom {
 				v = vnom
 			}
 			bin.VddPerLevel[l] = units.Volts(v)
 		}
-		for _, id := range bin.Members {
-			b.ChipBin[id] = i
-			if p := units.Watts(chips[id].NominalPower(fmax)); p > bin.WorstNominalPower {
-				bin.WorstNominalPower = p
-			}
-		}
-		b.Bins[i] = bin
 	}
 	return b, nil
+}
+
+// keyedChip is a chip ID with its binning key, nominal top-level power.
+type keyedChip struct {
+	key float64
+	id  int
 }
 
 // Vdd returns the factory-guaranteed operating voltage for chip id at

@@ -26,9 +26,14 @@ type Record struct {
 // safe for concurrent use: profiling domains scan in parallel while the
 // scheduler reads.
 type DB struct {
-	mu     sync.RWMutex
-	recs   []Record
-	levels int
+	mu   sync.RWMutex
+	recs []Record
+	// minVdd and measured back every record's MinVdd and Measured, chip
+	// by chip (levels entries each), so the DB's allocation count does
+	// not grow with the fleet and CopyTables is two copies.
+	minVdd   []units.Volts
+	measured []bool
+	levels   int
 	// version counts completed writes. Readers that keep derived caches
 	// (ScanKnowledge's voltage table) compare it against the version
 	// they cached at, so the steady-state read path costs one atomic
@@ -39,11 +44,17 @@ type DB struct {
 // NewDB creates an empty database for n chips and the given number of
 // DVFS levels.
 func NewDB(n, levels int) *DB {
-	db := &DB{recs: make([]Record, n), levels: levels}
+	db := &DB{
+		recs:     make([]Record, n),
+		minVdd:   make([]units.Volts, n*levels),
+		measured: make([]bool, n*levels),
+		levels:   levels,
+	}
 	for i := range db.recs {
+		lo, hi := i*levels, (i+1)*levels
 		db.recs[i] = Record{
-			MinVdd:   make([]units.Volts, levels),
-			Measured: make([]bool, levels),
+			MinVdd:   db.minVdd[lo:hi:hi],
+			Measured: db.measured[lo:hi:hi],
 		}
 	}
 	return db
@@ -86,10 +97,8 @@ func (db *DB) Version() uint64 { return db.version.Load() }
 func (db *DB) CopyTables(minVdd []units.Volts, measured []bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for id := range db.recs {
-		copy(minVdd[id*db.levels:], db.recs[id].MinVdd)
-		copy(measured[id*db.levels:], db.recs[id].Measured)
-	}
+	copy(minVdd, db.minVdd)
+	copy(measured, db.measured)
 }
 
 // Lookup returns the measured MinVdd of chip id at level l and whether
@@ -145,12 +154,11 @@ func (db *DB) RestoreRecords(recs []Record) error {
 		}
 	}
 	for i, r := range recs {
-		db.recs[i] = Record{
-			MinVdd:   append([]units.Volts(nil), r.MinVdd...),
-			Measured: append([]bool(nil), r.Measured...),
-			LastScan: r.LastScan,
-			Scans:    r.Scans,
-		}
+		rec := &db.recs[i]
+		copy(rec.MinVdd, r.MinVdd)
+		copy(rec.Measured, r.Measured)
+		rec.LastScan = r.LastScan
+		rec.Scans = r.Scans
 	}
 	db.version.Add(1)
 	return nil

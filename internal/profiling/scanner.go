@@ -2,7 +2,6 @@ package profiling
 
 import (
 	"fmt"
-	"sync"
 
 	"iscope/internal/pool"
 	"iscope/internal/units"
@@ -119,53 +118,83 @@ func (s *Scanner) ScanChip(id int, now units.Seconds) ChipReport {
 		Chip:   id,
 		MinVdd: make([]units.Volts, s.tbl.NumLevels()),
 	}
-	for l := 0; l < s.tbl.NumLevels(); l++ {
+	rep.Points = s.scan(id, now, rep.MinVdd)
+	rep.Duration, rep.Energy = s.cost(rep.Points)
+	return rep
+}
+
+// scan sweeps every level of chip id, writes the measured minima into
+// minVdd (one entry per level) and the DB, and returns the number of
+// configuration points tested. Each level's ground truth is looked up
+// once for all its points; a noisy tester still draws once per point,
+// in sweep order.
+func (s *Scanner) scan(id int, now units.Seconds, minVdd []units.Volts) int {
+	points := 0
+	for l := range minVdd {
 		vnom := float64(s.tbl.VnomAt(l))
+		trueMin := s.tester.trueMin(id, l, s.cfg.GPUOn)
 		lowestPass := 0.0
 		for p := 0; p < s.cfg.VoltagePoints; p++ {
 			v := vnom - float64(p)*s.cfg.VoltageStep
 			if v <= 0 {
 				break
 			}
-			rep.Points++
-			if s.tester.Run(id, l, units.Volts(v), s.cfg.GPUOn) {
+			points++
+			if s.tester.pass(id, units.Volts(v), trueMin) {
 				lowestPass = v
 			} else if !s.cfg.Exhaustive {
 				// Lower voltages at this frequency are forced to fail.
 				break
 			}
 		}
-		rep.MinVdd[l] = units.Volts(lowestPass)
+		minVdd[l] = units.Volts(lowestPass)
 	}
-	per := s.cfg.Kind.Duration()
-	rep.Duration = units.Seconds(float64(per) * float64(rep.Points))
-	rep.Energy = s.cfg.TestPower.Over(rep.Duration)
-	_ = s.db.Update(id, rep.MinVdd, now+rep.Duration)
-	return rep
+	dur, _ := s.cost(points)
+	_ = s.db.Update(id, minVdd, now+dur)
+	return points
 }
 
+// cost is the serial test time and energy of a chip scan that tested
+// the given number of configuration points.
+func (s *Scanner) cost(points int) (units.Seconds, units.Joules) {
+	d := units.Seconds(float64(s.cfg.Kind.Duration()) * float64(points))
+	return d, s.cfg.TestPower.Over(d)
+}
+
+// scanChunk is the number of chips one pool task scans: enough that
+// handing out tasks costs little beside the scans, few enough that the
+// workers stay balanced.
+const scanChunk = 64
+
 // ScanFleet profiles the given chips, parallelized across profiling
-// domains (worker goroutines). Results land in the DB; the report
-// aggregates cost. The DB records are the same at every worker count,
-// noisy testers included: each chip draws from its own noise stream.
+// domains (worker goroutines) in fixed chunks of chips. Results land in
+// the DB; the report aggregates cost, summed in the order of ids, so it
+// equals the sum of serial ScanChip reports. The DB records and the
+// report are the same at every worker count, noisy testers included:
+// each chip draws from its own noise stream.
 func (s *Scanner) ScanFleet(ids []int, now units.Seconds) FleetReport {
 	workers := s.cfg.Workers
 	if workers <= 0 {
 		workers = s.cfg.DomainSize
 	}
-	var (
-		mu  sync.Mutex
-		rep FleetReport
-	)
-	pool.Feed(nil, pool.Workers(workers, len(ids)), len(ids), func(i int) {
-		cr := s.ScanChip(ids[i], now)
-		mu.Lock()
-		rep.Chips++
-		rep.Points += cr.Points
-		rep.Energy += cr.Energy
-		rep.Duration += cr.Duration
-		mu.Unlock()
+	points := make([]int, len(ids))
+	chunks := (len(ids) + scanChunk - 1) / scanChunk
+	pool.Feed(nil, pool.Workers(workers, chunks), chunks, func(c int) {
+		lo := c * scanChunk
+		hi := min(lo+scanChunk, len(ids))
+		minVdd := make([]units.Volts, s.tbl.NumLevels())
+		for i := lo; i < hi; i++ {
+			points[i] = s.scan(ids[i], now, minVdd)
+		}
 	})
+	var rep FleetReport
+	for _, p := range points {
+		d, e := s.cost(p)
+		rep.Chips++
+		rep.Points += p
+		rep.Energy += e
+		rep.Duration += d
+	}
 	return rep
 }
 

@@ -81,13 +81,20 @@ func NewTester(chips []*variation.Chip, tbl VoltageTable, noiseSigma float64, r 
 	return t
 }
 
-// Run executes one stability test on chip id at DVFS level l and supply
-// voltage v, returning true if the chip passed (all cores produced
-// correct results). gpuOn selects the feature configuration under test
-// (Section III.C's on-demand profiling). Tests of distinct chips may
-// run concurrently.
-func (t *Tester) Run(id, l int, v units.Volts, gpuOn bool) bool {
-	trueMin := t.chips[id].MinVdd(l, float64(t.tbl.VnomAt(l)), gpuOn)
+// trueMin is chip id's ground-truth minimum safe voltage at DVFS level
+// l. gpuOn selects the feature configuration under test (Section
+// III.C's on-demand profiling). A sweep of one level computes it once
+// for all its points.
+func (t *Tester) trueMin(id, l int, gpuOn bool) float64 {
+	return t.chips[id].MinVdd(l, float64(t.tbl.VnomAt(l)), gpuOn)
+}
+
+// pass runs one stability test on chip id at supply voltage v against
+// the level's ground-truth minimum, returning true if the chip passed
+// (all cores produced correct results). A noisy tester draws one
+// measurement error per call from the chip's stream. Tests of distinct
+// chips may run concurrently.
+func (t *Tester) pass(id int, v units.Volts, trueMin float64) bool {
 	threshold := trueMin
 	if t.noise > 0 {
 		threshold += t.rs[id].Normal(0, t.noise)

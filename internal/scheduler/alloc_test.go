@@ -305,3 +305,23 @@ func TestUtilTimesIntoNoEscape(t *testing.T) {
 		buf = s.dc.UtilTimesInto(buf[:0], now)
 	})
 }
+
+// TestBuildFleetAllocsPerChip: a fleet build keeps its chips, cores,
+// margins, bins and scan records in slabs, so doubling the fleet adds at
+// most one allocation per added chip. What does grow, the scan's
+// per-chunk buffers, grows per 64 chips.
+func TestBuildFleetAllocsPerChip(t *testing.T) {
+	const n = 1000
+	build := func(procs int) func() {
+		return func() {
+			if _, err := BuildFleet(DefaultFleetSpec(5, procs)); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	small := testing.AllocsPerRun(3, build(n))
+	large := testing.AllocsPerRun(3, build(2*n))
+	if perChip := (large - small) / n; perChip > 1 {
+		t.Fatalf("BuildFleet(%d) allocated %v objects, BuildFleet(%d) %v: %.2f per added chip, want at most 1", 2*n, large, n, small, perChip)
+	}
+}

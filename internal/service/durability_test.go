@@ -277,10 +277,7 @@ func TestServiceTornTail(t *testing.T) {
 	refSnap := func(batches ...[]JobSubmission) []byte {
 		ref := New()
 		defer ref.Close()
-		tn, err := newTenant(testSpec("dur"), nil)
-		if err != nil {
-			t.Fatal(err)
-		}
+		tn := privateTenant(t, testSpec("dur"))
 		ref.tenants["dur"] = tn
 		for _, b := range batches {
 			if status, _ := tn.submitBatch("", b); status != http.StatusOK {
@@ -346,10 +343,7 @@ func TestJournalReplayDeterminism(t *testing.T) {
 	// Independent reference: no journal, no replay, same mutations.
 	ref := New()
 	defer ref.Close()
-	rtn, err := newTenant(spec, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	rtn := privateTenant(t, spec)
 	ref.tenants["dur"] = rtn
 	for _, b := range [][]JobSubmission{first, second} {
 		if status, _ := rtn.submitBatch("", b); status != http.StatusOK {

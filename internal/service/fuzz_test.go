@@ -15,11 +15,7 @@ import (
 func FuzzSubmitDecode(f *testing.F) {
 	srv := New()
 	defer srv.Close()
-	tn, err := newTenant(TenantSpec{Name: "fuzz", Scheme: "ScanEffi", Seed: 1, FleetSeed: 1, Procs: 4}, nil)
-	if err != nil {
-		f.Fatal(err)
-	}
-	srv.tenants["fuzz"] = tn
+	srv.tenants["fuzz"] = privateTenant(f, TenantSpec{Name: "fuzz", Scheme: "ScanEffi", Seed: 1, FleetSeed: 1, Procs: 4})
 	h := srv.Handler()
 
 	for _, seed := range []string{

@@ -31,6 +31,11 @@ type Server struct {
 	tenants map[string]*tenant
 	opts    Options
 
+	// fleets shares one fleet among the tenants with the same
+	// (FleetSeed, Procs). It has its own locks: a fleet build never
+	// holds mu, which every request takes to look up its tenant.
+	fleets fleetCache
+
 	// inflight bounds concurrently served requests when
 	// Options.MaxInflight > 0; nil means unbounded.
 	inflight chan struct{}
@@ -140,6 +145,27 @@ func (s *Server) Close() {
 	s.tenants = make(map[string]*tenant)
 }
 
+// openTenant builds a tenant on the server's shared fleet for its
+// spec. The spec is validated before any fleet is built; the tenant
+// holds a fleet reference until it is closed.
+func (s *Server) openTenant(spec TenantSpec, resume []byte) (*tenant, error) {
+	if err := spec.Validate(); err != nil {
+		return nil, err
+	}
+	key := specFleetKey(&spec)
+	fleet, err := s.fleets.acquire(key)
+	if err != nil {
+		return nil, err
+	}
+	t, err := newTenant(spec, fleet, resume)
+	if err != nil {
+		s.fleets.release(key)
+		return nil, err
+	}
+	t.fleets = &s.fleets
+	return t, nil
+}
+
 func (s *Server) lookup(name string) (*tenant, *APIError) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -184,7 +210,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &APIError{Status: http.StatusUnprocessableEntity, Code: "invalid_spec", Message: err.Error()})
 		return
 	}
-	t, err := newTenant(spec, nil)
+	t, err := s.openTenant(spec, nil)
 	if err != nil {
 		writeErr(w, &APIError{Status: http.StatusUnprocessableEntity, Code: "invalid_spec", Message: err.Error()})
 		return
@@ -620,7 +646,7 @@ func (s *Server) loadTenant(dir, name, metaPath string) (*tenant, error) {
 	if got := crcBytes(snap); got != meta.SnapCRC {
 		return nil, fmt.Errorf("%w: snapshot CRC %08x, metadata records %08x", ErrEraMismatch, got, meta.SnapCRC)
 	}
-	t, err := newTenant(meta.Spec, snap)
+	t, err := s.openTenant(meta.Spec, snap)
 	if err != nil {
 		return nil, err
 	}

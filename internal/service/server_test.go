@@ -3,9 +3,12 @@ package service
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
 	"runtime"
 	"testing"
 
@@ -124,10 +127,7 @@ func TestTenantLifecycle(t *testing.T) {
 
 	// The HTTP-driven run must match an in-process stepper fed the
 	// identical stream in one sitting.
-	ref, err := newTenant(testSpec("ref"), nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	ref := privateTenant(t, testSpec("ref"))
 	defer ref.close()
 	for i := range subs {
 		if _, aerr := ref.submit(&subs[i]); aerr != nil {
@@ -248,6 +248,64 @@ func TestCreateRejectsWorkerCount(t *testing.T) {
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("workers=maxWorkers rejected: %v", err)
 	}
+}
+
+// TestCreateRejectsProcsCount: a tenant's fleet is built before the
+// tenant exists, so a proc count outside [1, maxProcs] is a 422
+// invalid_spec that builds no fleet and leaves no tenant.
+func TestCreateRejectsProcsCount(t *testing.T) {
+	srv := New()
+	defer srv.Close()
+	h := srv.Handler()
+	// The huge count goes last: without the bound it would try to
+	// allocate its chips, so a regression fails fast on the small ones
+	// first.
+	for _, procs := range []int{0, -1, maxProcs + 1, 2000000000} {
+		spec := testSpec("huge")
+		spec.Procs = procs
+		rec := do(t, h, "POST", "/v1/tenants", spec)
+		wantStatus(t, rec, http.StatusUnprocessableEntity)
+		var env struct {
+			Error *APIError `json:"error"`
+		}
+		if err := json.Unmarshal(rec.Body.Bytes(), &env); err != nil || env.Error.Code != "invalid_spec" {
+			t.Fatalf("procs=%d: error %s, want invalid_spec", procs, rec.Body.String())
+		}
+		wantFleetsHeld(t, srv, 0)
+	}
+	wantStatus(t, do(t, h, "GET", "/v1/tenants/huge", nil), http.StatusNotFound)
+	ok := testSpec("ok")
+	ok.Procs = maxProcs
+	if err := ok.Validate(); err != nil {
+		t.Fatalf("procs=maxProcs rejected: %v", err)
+	}
+
+	// A stored spec above the cap is refused on restart, before any
+	// fleet is built.
+	dir := t.TempDir()
+	wantStatus(t, do(t, h, "POST", "/v1/tenants", testSpec("stored")), http.StatusCreated)
+	if err := srv.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(dir, "stored"+metaSuffix)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	huge := bytes.Replace(raw, []byte(`"procs": 8,`), []byte(`"procs": 2000000000,`), 1)
+	if bytes.Equal(huge, raw) {
+		t.Fatal("metadata carries no procs field to raise")
+	}
+	if err := os.WriteFile(path, huge, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re := New()
+	defer re.Close()
+	var lerr *LoadError
+	if _, err := re.LoadAll(dir); !errors.As(err, &lerr) {
+		t.Fatalf("LoadAll of a spec above maxProcs: got %v, want *LoadError", err)
+	}
+	wantFleetsHeld(t, re, 0)
 }
 
 func tenantStatus(t *testing.T, h http.Handler, name string) StatusResponse {

@@ -34,6 +34,9 @@ type tenant struct {
 	adm   admitter
 	jr    *wal.Journal
 	dedup *dedupWindow
+	// fleets holds the tenant's reference to its shared fleet, dropped
+	// on close; nil for a tenant built on a fleet of its own.
+	fleets *fleetCache
 }
 
 // buildConfig derives the deterministic run configuration a spec
@@ -60,20 +63,13 @@ func buildConfig(spec *TenantSpec, fleet *scheduler.Fleet) (scheduler.RunConfig,
 	return cfg, nil
 }
 
-// newTenant builds a tenant from its spec, optionally resuming from a
-// snapshot (the daemon restart path). The job stream starts open; a
-// saved Sealed flag is reapplied by the caller.
-func newTenant(spec TenantSpec, resume []byte) (*tenant, error) {
-	if err := spec.Validate(); err != nil {
-		return nil, err
-	}
+// newTenant builds a tenant from a valid spec on fleet, optionally
+// resuming from a snapshot (the daemon restart path). The job stream
+// starts open; a saved Sealed flag is reapplied by the caller.
+func newTenant(spec TenantSpec, fleet *scheduler.Fleet, resume []byte) (*tenant, error) {
 	sch, ok := scheduler.SchemeByName(spec.Scheme)
 	if !ok {
 		return nil, fmt.Errorf("unknown scheme %q", spec.Scheme)
-	}
-	fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(spec.FleetSeed, spec.Procs))
-	if err != nil {
-		return nil, err
 	}
 	cfg, err := buildConfig(&spec, fleet)
 	if err != nil {
@@ -387,5 +383,9 @@ func (t *tenant) close() {
 	if t.jr != nil {
 		t.jr.Close()
 		t.jr = nil
+	}
+	if t.fleets != nil {
+		t.fleets.release(specFleetKey(&t.spec))
+		t.fleets = nil
 	}
 }

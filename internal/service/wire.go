@@ -33,7 +33,7 @@ type TenantSpec struct {
 	// Seed seeds the run; FleetSeed seeds the hardware population.
 	Seed      uint64 `json:"seed"`
 	FleetSeed uint64 `json:"fleet_seed"`
-	// Procs sizes the fleet.
+	// Procs sizes the fleet. At most maxProcs.
 	Procs int `json:"procs"`
 	// Wind optionally powers the tenant with a synthetic wind farm;
 	// nil simulates a utility-only datacenter.
@@ -58,6 +58,12 @@ type TenantSpec struct {
 // could exhaust the daemon's memory; 64 is well above any count the
 // benchmarks sweep.
 const maxWorkers = 64
+
+// maxProcs caps TenantSpec.Procs. A tenant's fleet is built before the
+// tenant exists, at about half a kilobyte per proc, so an unbounded
+// count from the wire could exhaust the daemon's memory; 1<<20 is above
+// the largest fleet the benchmarks build (1,000,000 procs).
+const maxProcs = 1 << 20
 
 // WindSpec derives a deterministic wind trace for a tenant: Days of
 // synthetic weather from Seed, scaled so the mean covers MeanFrac of
@@ -84,8 +90,8 @@ func (sp *TenantSpec) Validate() error {
 	if sp.Name == "" {
 		return fmt.Errorf("tenant name is required")
 	}
-	if sp.Procs <= 0 {
-		return fmt.Errorf("procs must be positive, got %d", sp.Procs)
+	if sp.Procs <= 0 || sp.Procs > maxProcs {
+		return fmt.Errorf("procs must be in [1, %d], got %d", maxProcs, sp.Procs)
 	}
 	if sp.Workers < 0 || sp.Workers > maxWorkers {
 		return fmt.Errorf("workers must be in [0, %d], got %d", maxWorkers, sp.Workers)

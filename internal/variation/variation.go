@@ -163,11 +163,19 @@ func (ch *Chip) NominalPower(fGHz float64) float64 {
 	return ch.Alpha*fGHz*fGHz*fGHz + ch.Beta
 }
 
-// Model generates chips from a Config.
+// Model generates chips from a Config. A Model is not safe for
+// concurrent use: it consumes one random stream and generates into
+// scratch buffers it owns.
 type Model struct {
 	cfg   Config
 	field *CorrelatedField
 	r     *rng.Rand
+
+	// Per-chip scratch: the n×n field and its convolution buffer, and
+	// the per-core systematics with their cell counts.
+	grid, tmp []float64
+	sys       []float64
+	cnt       []int
 }
 
 // NewModel validates cfg and constructs a generator.
@@ -175,10 +183,15 @@ func NewModel(cfg Config) (*Model, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	n := cfg.GridSize
 	return &Model{
 		cfg:   cfg,
-		field: NewCorrelatedField(cfg.GridSize, cfg.CorrRange),
+		field: NewCorrelatedField(n, cfg.CorrRange),
 		r:     rng.Named(cfg.Seed, "variation"),
+		grid:  make([]float64, n*n),
+		tmp:   make([]float64, n*n),
+		sys:   make([]float64, cfg.CoresPerChip),
+		cnt:   make([]int, cfg.CoresPerChip),
 	}, nil
 }
 
@@ -190,13 +203,37 @@ func (m *Model) Config() Config { return m.cfg }
 // GenerateFleet); individual chips are still fully determined by
 // (Config, generation order).
 func (m *Model) GenerateChip(id int) *Chip {
-	cfg := m.cfg
-	ch := &Chip{
-		ID:    id,
-		Cores: make([]Core, cfg.CoresPerChip),
+	ch := &Chip{}
+	m.generate(ch, id, make([]Core, m.cfg.CoresPerChip), make([]float64, m.cfg.CoresPerChip*m.cfg.NumLevels))
+	return ch
+}
+
+// GenerateFleet creates n chips with IDs 0..n-1. The chips, their cores
+// and their margins live in three slabs; every chip's Cores and every
+// core's Margins is a full slice expression over its slab, so an
+// append to one cannot reach a neighbour.
+func (m *Model) GenerateFleet(n int) []*Chip {
+	c, l := m.cfg.CoresPerChip, m.cfg.NumLevels
+	chips := make([]*Chip, n)
+	slab := make([]Chip, n)
+	cores := make([]Core, n*c)
+	margins := make([]float64, n*c*l)
+	for i := range chips {
+		chips[i] = &slab[i]
+		m.generate(chips[i], i, cores[i*c:(i+1)*c:(i+1)*c], margins[i*c*l:(i+1)*c*l:(i+1)*c*l])
 	}
-	grid := m.field.Generate(m.r)
-	sys := coreSystematics(grid, cfg.CoresPerChip)
+	return chips
+}
+
+// generate fills ch as chip id, handing it cores (CoresPerChip long) and
+// margins (CoresPerChip×NumLevels) as backing storage. Draws come in a
+// fixed order: the field, then per core its random part, its level
+// jitters and its GPU penalty, then alpha, then beta's Poisson draw.
+func (m *Model) generate(ch *Chip, id int, cores []Core, margins []float64) {
+	cfg := &m.cfg
+	m.field.Fill(m.r, m.grid, m.tmp)
+	sys := m.sys
+	coreSystematics(m.grid, m.field.n, sys, m.cnt)
 
 	meanSys := 0.0
 	for _, s := range sys {
@@ -204,63 +241,65 @@ func (m *Model) GenerateChip(id int) *Chip {
 	}
 	meanSys /= float64(len(sys))
 
-	for i := range ch.Cores {
-		margins := make([]float64, cfg.NumLevels)
+	levels := cfg.NumLevels
+	for i := range cores {
+		ms := margins[i*levels : (i+1)*levels : (i+1)*levels]
 		base := cfg.MarginMean +
 			cfg.MarginSigmaSys*sys[i] +
 			cfg.MarginSigmaRand*m.r.Normal(0, 1)
-		for l := range margins {
+		for l := range ms {
 			v := base + cfg.MarginLevelJit*m.r.Normal(0, 1)
-			margins[l] = clamp(v, cfg.MarginMin, cfg.MarginMax)
+			ms[l] = clamp(v, cfg.MarginMin, cfg.MarginMax)
 		}
-		ch.Cores[i] = Core{
-			Margins:     margins,
+		cores[i] = Core{
+			Margins:     ms,
 			GPUPenalty:  math.Max(0, m.r.Normal(cfg.GPUPenaltyMean, cfg.GPUPenaltySigma)),
 			SystematicZ: sys[i],
 		}
 	}
 
+	ch.ID = id
+	ch.Cores = cores
 	ch.Alpha = math.Max(0.1, m.r.Normal(cfg.AlphaMean, cfg.AlphaSigma))
 	leakScale := 1 + cfg.LeakageCorr*meanSys
 	if leakScale < 0.2 {
 		leakScale = 0.2
 	}
 	ch.Beta = math.Max(1, float64(m.r.Poisson(cfg.BetaMean))*leakScale)
-	return ch
 }
 
-// GenerateFleet creates n chips with IDs 0..n-1.
-func (m *Model) GenerateFleet(n int) []*Chip {
-	chips := make([]*Chip, n)
-	for i := range chips {
-		chips[i] = m.GenerateChip(i)
+// coreSystematics maps the n×n row-major field g to one systematic value
+// per core in sys, using cnt (same length) as scratch. Quad-core dies
+// use quadrant means; other core counts stripe the grid by rows. Cells
+// are summed in row-major order.
+func coreSystematics(g []float64, n int, sys []float64, cnt []int) {
+	cores := len(sys)
+	for c := range sys {
+		sys[c] = 0
+		cnt[c] = 0
 	}
-	return chips
-}
-
-// coreSystematics maps the grid field to one systematic value per core.
-// Quad-core dies use quadrant means; other core counts stripe the grid.
-func coreSystematics(grid [][]float64, cores int) []float64 {
-	if cores == 4 {
-		q := QuadrantMeans(grid)
-		return q[:]
-	}
-	n := len(grid)
-	out := make([]float64, cores)
-	cnt := make([]int, cores)
+	h := n / 2
 	for i := 0; i < n; i++ {
 		c := i * cores / n
 		for j := 0; j < n; j++ {
-			out[c] += grid[i][j]
+			if cores == 4 {
+				c = 0
+				if i >= h {
+					c += 2
+				}
+				if j >= h {
+					c++
+				}
+			}
+			sys[c] += g[i*n+j]
 			cnt[c]++
 		}
 	}
-	for c := range out {
+	for c := range sys {
 		if cnt[c] > 0 {
-			out[c] /= float64(cnt[c])
+			sys[c] /= float64(cnt[c])
 		}
 	}
-	return out
 }
 
 func clamp(v, lo, hi float64) float64 {

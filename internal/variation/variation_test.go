@@ -2,6 +2,7 @@ package variation
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -259,15 +260,14 @@ func TestA10SingleFleetRange(t *testing.T) {
 func TestFieldUnitVariance(t *testing.T) {
 	f := NewCorrelatedField(8, 1.5)
 	r := newTestRand(31)
+	g, tmp := make([]float64, 64), make([]float64, 64)
 	sum, sumsq, n := 0.0, 0.0, 0
 	for trial := 0; trial < 2000; trial++ {
-		g := f.Generate(r)
-		for i := range g {
-			for j := range g[i] {
-				sum += g[i][j]
-				sumsq += g[i][j] * g[i][j]
-				n++
-			}
+		f.Fill(r, g, tmp)
+		for _, v := range g {
+			sum += v
+			sumsq += v * v
+			n++
 		}
 	}
 	meanV := sum / float64(n)
@@ -284,13 +284,15 @@ func TestFieldUnitVariance(t *testing.T) {
 func TestFieldSpatialCorrelationDecays(t *testing.T) {
 	f := NewCorrelatedField(16, 2)
 	r := newTestRand(37)
+	g, tmp := make([]float64, 256), make([]float64, 256)
+	at := func(i, j int) float64 { return g[i*16+j] }
 	var near, far, v0 float64
 	trials := 3000
 	for trial := 0; trial < trials; trial++ {
-		g := f.Generate(r)
-		v0 += g[4][4] * g[4][4]
-		near += g[4][4] * g[4][5]
-		far += g[4][4] * g[12][12]
+		f.Fill(r, g, tmp)
+		v0 += at(4, 4) * at(4, 4)
+		near += at(4, 4) * at(4, 5)
+		far += at(4, 4) * at(12, 12)
 	}
 	nearCorr := near / v0
 	farCorr := far / v0
@@ -307,24 +309,44 @@ func TestFieldSpatialCorrelationDecays(t *testing.T) {
 
 func TestWhiteNoiseField(t *testing.T) {
 	f := NewCorrelatedField(8, 0)
-	r := newTestRand(41)
-	g := f.Generate(r)
-	if len(g) != 8 || len(g[0]) != 8 {
-		t.Fatalf("bad grid shape")
+	g, tmp := make([]float64, 64), make([]float64, 64)
+	f.Fill(newTestRand(41), g, tmp)
+	want := newTestRand(41)
+	for i, v := range g {
+		if w := want.Normal(0, 1); v != w {
+			t.Fatalf("cell %d = %v, want the raw draw %v", i, v, w)
+		}
 	}
 }
 
+// quadrantGrid is a 4×4 field whose quadrants hold 1, 2, 3 and 4.
+var quadrantGrid = []float64{
+	1, 1, 2, 2,
+	1, 1, 2, 2,
+	3, 3, 4, 4,
+	3, 3, 4, 4,
+}
+
 func TestQuadrantMeans(t *testing.T) {
-	g := [][]float64{
-		{1, 1, 2, 2},
-		{1, 1, 2, 2},
-		{3, 3, 4, 4},
-		{3, 3, 4, 4},
+	sys, cnt := make([]float64, 4), make([]int, 4)
+	coreSystematics(quadrantGrid, 4, sys, cnt)
+	if want := []float64{1, 2, 3, 4}; !slices.Equal(sys, want) {
+		t.Fatalf("quadrant means = %v, want %v", sys, want)
 	}
-	q := QuadrantMeans(g)
-	want := [4]float64{1, 2, 3, 4}
-	if q != want {
-		t.Fatalf("QuadrantMeans = %v, want %v", q, want)
+}
+
+func TestRowStripes(t *testing.T) {
+	g := quadrantGrid
+	sys, cnt := make([]float64, 2), make([]int, 2)
+	coreSystematics(g, 4, sys, cnt)
+	if want := []float64{1.5, 3.5}; !slices.Equal(sys, want) {
+		t.Fatalf("row stripes = %v, want %v", sys, want)
+	}
+	// More cores than rows leaves the unmapped stripes at zero.
+	sys, cnt = make([]float64, 6), make([]int, 6)
+	coreSystematics(g, 4, sys, cnt)
+	if want := []float64{1.5, 1.5, 0, 3.5, 3.5, 0}; !slices.Equal(sys, want) {
+		t.Fatalf("six stripes = %v, want %v", sys, want)
 	}
 }
 
