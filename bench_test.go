@@ -169,7 +169,9 @@ func BenchmarkSimulationRun(b *testing.B) {
 // exists to exercise the structure-of-arrays cluster state, the
 // calendar event queue and the incremental order maintenance at the
 // scale they were built for; its job count is sub-proportional so a
-// rep stays within a nightly-runner budget.
+// rep stays within a nightly-runner budget. Each tier builds its fleet,
+// trace and wind inside its own sub-benchmark, so a -bench pattern
+// that filters a tier out also skips building its inputs.
 func BenchmarkSimulationRunLarge(b *testing.B) {
 	for _, size := range []struct {
 		procs, jobs int
@@ -180,46 +182,118 @@ func BenchmarkSimulationRunLarge(b *testing.B) {
 		{procs: 1_000_000, jobs: 250_000, short: true},
 	} {
 		if size.short && testing.Short() {
-			// Don't pay the 48,000-chip fleet build just to skip its
-			// sub-benchmarks.
 			continue
 		}
-		fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, size.procs))
-		if err != nil {
-			b.Fatal(err)
-		}
-		jobs, err := SynthesizeWorkload(2, size.jobs, 64, 1, 0.3)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w, err := GenerateWind(3, 1)
-		if err != nil {
-			b.Fatal(err)
-		}
-		w = w.Scale(float64(size.procs) / 4800.0)
-		sch, _ := scheduler.SchemeByName("ScanFair")
-		workerSweep := []int{1, 2, 4, 8}
-		if size.short {
-			workerSweep = []int{1, 8}
-		}
-		for _, workers := range workerSweep {
-			name := fmt.Sprintf("procs=%d/workers=%d", size.procs, workers)
-			b.Run(name, func(b *testing.B) {
-				cfg := scheduler.RunConfig{
-					Seed:            1,
-					Jobs:            jobs,
-					Wind:            w,
-					EnableRebalance: true,
-					Workers:         workers,
+		b.Run(fmt.Sprintf("procs=%d", size.procs), func(b *testing.B) {
+			fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, size.procs))
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs, err := SynthesizeWorkload(2, size.jobs, 64, 1, 0.3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := GenerateWind(3, 1)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w = w.Scale(float64(size.procs) / 4800.0)
+			sch, _ := scheduler.SchemeByName("ScanFair")
+			workerSweep := []int{1, 2, 4, 8}
+			if size.short {
+				workerSweep = []int{1, 8}
+			}
+			for _, workers := range workerSweep {
+				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
+					cfg := scheduler.RunConfig{
+						Seed:            1,
+						Jobs:            jobs,
+						Wind:            w,
+						EnableRebalance: true,
+						Workers:         workers,
+					}
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						if _, err := scheduler.Run(fleet, sch, cfg); err != nil {
+							b.Fatal(err)
+						}
+					}
+				})
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshot measures a run snapshot's encode and restore at
+// 4,800 and 48,000 procs on perfbench's batch input (seed 1): a day of
+// 12,000 jobs of up to 64 procs at a 30% HU share, over wind whose mean
+// covers half the fleet's peak demand, snapshotted before the first
+// event past virtual 12 h. encode is Stepper.Snapshot; restore is
+// NewStepper with Resume, so it includes the construction a resume
+// cannot skip. Both report the snapshot's size as snapshot_bytes.
+func BenchmarkSnapshot(b *testing.B) {
+	for _, tier := range []struct{ procs, workers int }{{4800, 1}, {48000, 2}} {
+		b.Run(fmt.Sprintf("procs=%d", tier.procs), func(b *testing.B) {
+			fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, tier.procs))
+			if err != nil {
+				b.Fatal(err)
+			}
+			jobs, err := SynthesizeWorkload(1, 12000, 64, 1, 0.3)
+			if err != nil {
+				b.Fatal(err)
+			}
+			w, err := GenerateWind(3, 4)
+			if err != nil {
+				b.Fatal(err)
+			}
+			cfg := scheduler.RunConfig{
+				Seed:            1,
+				Jobs:            jobs,
+				Wind:            w.Scale(0.5 * float64(fleet.PeakDemand()) / float64(w.Mean())),
+				EnableRebalance: true,
+				Workers:         tier.workers,
+			}
+			sch, _ := scheduler.SchemeByName("ScanFair")
+			st, err := scheduler.NewStepper(fleet, sch, cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer st.Close()
+			st.Seal()
+			for {
+				at, ok := st.PeekNextEventTime()
+				if !ok || at > units.Hours(12) {
+					break
 				}
-				b.ResetTimer()
+				if _, err := st.ProcessEventBatch(); err != nil {
+					b.Fatal(err)
+				}
+			}
+			snap, err := st.Snapshot()
+			if err != nil {
+				b.Fatal(err)
+			}
+			b.Run("encode", func(b *testing.B) {
+				b.ReportMetric(float64(len(snap)), "snapshot_bytes")
 				for i := 0; i < b.N; i++ {
-					if _, err := scheduler.Run(fleet, sch, cfg); err != nil {
+					if _, err := st.Snapshot(); err != nil {
 						b.Fatal(err)
 					}
 				}
 			})
-		}
+			b.Run("restore", func(b *testing.B) {
+				b.ReportMetric(float64(len(snap)), "snapshot_bytes")
+				re := cfg
+				re.Resume = snap
+				for i := 0; i < b.N; i++ {
+					rs, err := scheduler.NewStepper(fleet, sch, re)
+					if err != nil {
+						b.Fatal(err)
+					}
+					rs.Close()
+				}
+			})
+		})
 	}
 }
 

@@ -12,10 +12,11 @@
 //	14+n    4     CRC-32 (Castagnoli) over bytes [0, 14+n)
 //
 // Compatibility policy: a decoder accepts exactly the versions it
-// knows how to interpret (today: only Version). A file with a higher
-// version was written by a newer build and is rejected with ErrVersion
-// rather than misread; downgrading readers never silently reinterpret
-// state. Any structural change to a payload type must bump Version.
+// knows how to interpret (today: only Version). A file with any other
+// version, written by a newer build or by an older one, is rejected
+// with ErrVersion rather than misread; no reader ever silently
+// reinterprets state. Any structural change to a payload type must
+// bump Version.
 // Truncated files and bit rot are rejected with ErrTruncated and
 // ErrChecksum respectively, before gob ever sees the payload.
 package checkpoint
@@ -41,8 +42,11 @@ const Magic = "ISCK"
 // definition, and arrival events occupy a reserved low sequence band.
 // Version 4 added the telemetry section (sensor read state and the
 // estimated power view) and the invariant monitor's advisory-warning
-// counters.
-const Version uint16 = 4
+// counters. Version 5 stores only what the configuration cannot
+// re-derive: no trace job definitions, one trace cursor for the pending
+// trace arrivals, no stale events, no busy-since stamp for an idle
+// processor, under an exact config hash.
+const Version uint16 = 5
 
 const headerLen = 4 + 2 + 8 // magic + version + payload length
 
@@ -51,7 +55,7 @@ var (
 	ErrTruncated = errors.New("checkpoint: truncated")
 	// ErrChecksum marks payload corruption (CRC mismatch).
 	ErrChecksum = errors.New("checkpoint: checksum mismatch")
-	// ErrVersion marks an envelope written by a newer format version.
+	// ErrVersion marks an envelope of any version but Version.
 	ErrVersion = errors.New("checkpoint: unsupported version")
 	// ErrMagic marks a file that is not a checkpoint at all.
 	ErrMagic = errors.New("checkpoint: bad magic")

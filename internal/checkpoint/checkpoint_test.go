@@ -138,6 +138,28 @@ func TestFutureVersionWellFormedRejected(t *testing.T) {
 	}
 }
 
+// TestVersion4EnvelopeRejected: this build reads no older format
+// either. A well-formed version-4 envelope, checksum intact, is refused
+// with ErrVersion before its payload is decoded.
+func TestVersion4EnvelopeRejected(t *testing.T) {
+	data, err := Encode(samplePayload())
+	if err != nil {
+		t.Fatalf("Encode: %v", err)
+	}
+	old := append([]byte(nil), data...)
+	binary.LittleEndian.PutUint16(old[4:6], 4)
+	body := old[:len(old)-4]
+	binary.LittleEndian.PutUint32(old[len(body):], crc32.Checksum(body, castagnoli))
+
+	var out payload
+	if err := Decode(old, &out); !errors.Is(err, ErrVersion) {
+		t.Fatalf("Decode(version 4) = %v, want ErrVersion", err)
+	}
+	if out.Name != "" || out.Count != 0 || out.Values != nil {
+		t.Fatalf("version-4 decode partially restored the payload: %+v", out)
+	}
+}
+
 func TestBadMagicRejected(t *testing.T) {
 	data, err := Encode(samplePayload())
 	if err != nil {

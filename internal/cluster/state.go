@@ -27,7 +27,8 @@ type SliceState struct {
 }
 
 // ProcState is the serializable form of one processor's mutable state.
-// Current holds zero or one entries.
+// Current holds zero or one entries. BusySince is 0 for an idle
+// processor: it is read only while a slice runs, and start rewrites it.
 type ProcState struct {
 	Current     []SliceState
 	Queue       []SliceState
@@ -70,13 +71,13 @@ func (dc *Datacenter) CaptureState(jobRef func(*workload.Job) int) State {
 	for i := range dc.Procs {
 		ps := ProcState{
 			UtilTime:    dc.utilTime[i],
-			BusySince:   dc.busySince[i],
 			Backlog:     dc.backlog[i],
 			Offline:     dc.offline[i],
 			OfflineDraw: dc.offlineDraw[i],
 		}
 		if cur := dc.current[i]; cur != nil {
 			ps.Current = []SliceState{cap(cur)}
+			ps.BusySince = dc.busySince[i]
 		}
 		for _, q := range dc.queues[i].items() {
 			ps.Queue = append(ps.Queue, cap(q))

@@ -58,7 +58,7 @@ type Tester struct {
 	// may run concurrently and each chip's draws do not depend on the
 	// order chips are scanned in. nil when noise is 0: ideal
 	// measurements draw nothing.
-	rs []*rng.Rand
+	rs []rng.Rand
 }
 
 // VoltageTable abstracts the DVFS table: nominal voltage per level.
@@ -73,10 +73,7 @@ type VoltageTable interface {
 func NewTester(chips []*variation.Chip, tbl VoltageTable, noiseSigma float64, r *rng.Rand) *Tester {
 	t := &Tester{chips: chips, tbl: tbl, noise: noiseSigma}
 	if noiseSigma > 0 {
-		t.rs = make([]*rng.Rand, len(chips))
-		for i := range t.rs {
-			t.rs[i] = r.Split("chip")
-		}
+		t.rs = r.SplitN("chip", len(chips))
 	}
 	return t
 }

@@ -48,6 +48,24 @@ func TestSplitDeterministic(t *testing.T) {
 	}
 }
 
+// TestSplitNMatchesSplit: the slab of children draws what successive
+// Split calls return, and leaves the parent where they would.
+func TestSplitNMatchesSplit(t *testing.T) {
+	a, b := Named(7, "parent"), Named(7, "parent")
+	slab := a.SplitN("chip", 5)
+	for i := range slab {
+		one := b.Split("chip")
+		for d := 0; d < 20; d++ {
+			if got, want := slab[i].Normal(0, 1), one.Normal(0, 1); got != want {
+				t.Fatalf("child %d draw %d: slab %v, Split %v", i, d, got, want)
+			}
+		}
+	}
+	if a.Uint64() != b.Uint64() {
+		t.Fatal("SplitN left the parent at a different position than Split")
+	}
+}
+
 func TestUniformRange(t *testing.T) {
 	r := Named(1, "u")
 	for i := 0; i < 10000; i++ {

@@ -307,21 +307,26 @@ func TestUtilTimesIntoNoEscape(t *testing.T) {
 }
 
 // TestBuildFleetAllocsPerChip: a fleet build keeps its chips, cores,
-// margins, bins and scan records in slabs, so doubling the fleet adds at
-// most one allocation per added chip. What does grow, the scan's
-// per-chunk buffers, grows per 64 chips.
+// margins, bins, scan records and, for a noisy scan, the per-chip noise
+// streams in slabs, so doubling the fleet adds at most one allocation
+// per added chip. What does grow, the scan's per-chunk buffers, grows
+// per 64 chips.
 func TestBuildFleetAllocsPerChip(t *testing.T) {
 	const n = 1000
-	build := func(procs int) func() {
-		return func() {
-			if _, err := BuildFleet(DefaultFleetSpec(5, procs)); err != nil {
-				t.Fatal(err)
+	for _, noise := range []float64{0, 0.004} {
+		build := func(procs int) func() {
+			return func() {
+				spec := DefaultFleetSpec(5, procs)
+				spec.ScanNoise = noise
+				if _, err := BuildFleet(spec); err != nil {
+					t.Fatal(err)
+				}
 			}
 		}
-	}
-	small := testing.AllocsPerRun(3, build(n))
-	large := testing.AllocsPerRun(3, build(2*n))
-	if perChip := (large - small) / n; perChip > 1 {
-		t.Fatalf("BuildFleet(%d) allocated %v objects, BuildFleet(%d) %v: %.2f per added chip, want at most 1", 2*n, large, n, small, perChip)
+		small := testing.AllocsPerRun(3, build(n))
+		large := testing.AllocsPerRun(3, build(2*n))
+		if perChip := (large - small) / n; perChip > 1 {
+			t.Fatalf("ScanNoise %v: BuildFleet(%d) allocated %v objects, BuildFleet(%d) %v: %.2f per added chip, want at most 1", noise, 2*n, large, n, small, perChip)
+		}
 	}
 }

@@ -2,9 +2,9 @@ package scheduler
 
 import (
 	"fmt"
-	"hash/fnv"
+	"math"
+	"reflect"
 	"sort"
-	"strconv"
 
 	"iscope/internal/battery"
 	"iscope/internal/brownout"
@@ -79,13 +79,10 @@ type snapEvent struct {
 	Tag eventTag
 }
 
-// jobSnap is one job's definition and completion progress. Carrying
-// the full definition (format v3) makes snapshots self-contained:
-// a streaming run's injected jobs exist nowhere but here, and restore
-// rebuilds them — extending a resuming run's job set — instead of
-// requiring the caller to replay the stream.
+// jobSnap is one job's completion progress. Every job has one; only
+// jobs past the configured trace (streamed in through InjectJob) also
+// carry their definition, in runSnapshot.Injected.
 type jobSnap struct {
-	Def       workload.Job
 	Remaining int
 	Finish    units.Seconds
 }
@@ -142,22 +139,33 @@ type telemSnap struct {
 	GuardSince   units.Seconds
 }
 
-// runSnapshot is the complete simulation state at one instant. Every
-// accumulated float is stored verbatim; nothing is re-derived on
-// restore except what is provably bit-identical to re-derive (the
-// fault plan, the knowledge regime, job definitions).
+// runSnapshot is the simulation state at one instant that the
+// configuration cannot re-derive. Every accumulated float is stored
+// verbatim; restore re-derives only what is provably bit-identical to
+// re-derive: the fault and sensor plans, the knowledge regime, the
+// configured trace's job definitions and its pending arrivals, and the
+// efficiency order until online profiling re-sorts it. The exact
+// config hash in Meta pins every input those come from.
 type runSnapshot struct {
 	Meta snapMeta
 
-	Now    units.Seconds
-	Seq    uint64
+	Now units.Seconds
+	Seq uint64
+	// Events is the pending queue less the configured trace's arrivals
+	// and the stale completions and margin checks (see staleTag).
 	Events []snapEvent
+	// TraceNext is the first trace job whose arrival has not fired: the
+	// pending trace arrivals are exactly [TraceNext, len(trace)), each
+	// at (Submit, index+1), and restore re-injects them.
+	TraceNext int
 
 	Cluster cluster.State
 	Account metrics.AccountState
 	Battery []battery.State // zero or one
 
-	Rand    []byte
+	Rand []byte
+	// EffPref is the efficiency order once online profiling has
+	// re-sorted it; nil while it is still the order newSim builds.
 	EffPref []int
 
 	CurWind     units.Watts
@@ -172,7 +180,8 @@ type runSnapshot struct {
 	Profiled      int
 	DBRecords     []profiling.Record
 
-	Jobs       []jobSnap
+	Jobs       []jobSnap      // every job, trace first
+	Injected   []workload.Job // definitions of the jobs past the trace
 	JobsLeft   int
 	Violations int
 	WorkDone   units.Seconds
@@ -185,122 +194,94 @@ type runSnapshot struct {
 	Telemetry []telemSnap        // zero or one
 }
 
-// cfgHash fingerprints every RunConfig field that shapes the
-// simulation trajectory, over the configured trace. The sim's live
-// hash (configHash) uses the same byte layout but draws the job set
-// from the run's states, which include streamed jobs; for a batch run
-// the two are identical.
-func cfgHash(cfg RunConfig) uint64 {
-	h := fnv.New64a()
-	put := func(format string, args ...any) { fmt.Fprintf(h, format+"|", args...) }
-	hashCfgFields(put, &cfg)
-	if cfg.Jobs != nil {
-		put("jobs=%d", len(cfg.Jobs.Jobs))
-		var buf []byte
-		for i := range cfg.Jobs.Jobs {
-			buf = appendJob(buf[:0], &cfg.Jobs.Jobs[i])
-			h.Write(buf)
-		}
-	}
-	return h.Sum64()
-}
-
-// configHash is the sim-level cfgHash: identical fields, but the job
-// section covers the live job set (initial trace plus every injected
-// job) so a snapshot taken mid-stream fingerprints the jobs it
-// actually carries.
+// configHash fingerprints the run's configuration and its live job
+// set (the trace plus every injected job), so a snapshot taken
+// mid-stream fingerprints the jobs it carries.
 func (s *sim) configHash() uint64 {
-	h := fnv.New64a()
-	put := func(format string, args ...any) { fmt.Fprintf(h, format+"|", args...) }
-	hashCfgFields(put, &s.cfg)
-	put("jobs=%d", len(s.states))
-	var buf []byte
+	h := hashConfig(&s.cfg)
+	h.u64(uint64(len(s.states)))
 	for i := range s.states {
-		buf = appendJob(buf[:0], s.states[i].job)
-		h.Write(buf)
+		h.value(reflect.ValueOf(s.states[i].job).Elem())
 	}
-	return h.Sum64()
+	return uint64(h)
 }
 
-// appendJob appends one job's section of the config hash. Its bytes are
-// frozen at what fmt wrote for format v4 — "%d,%v,%v,%v,%v,%v|" over
-// ID, Submit, Runtime, Procs, Boundness and Deadline, times in
-// units.Seconds' display formats of that version — so the hash no
-// longer depends on fmt or on later edits to a display method, and
-// strconv's appenders write it without fmt's per-call cost.
-func appendJob(b []byte, j *workload.Job) []byte {
-	b = strconv.AppendInt(b, int64(j.ID), 10)
-	b = append(b, ',')
-	b = appendSecondsV4(b, j.Submit)
-	b = append(b, ',')
-	b = appendSecondsV4(b, j.Runtime)
-	b = append(b, ',')
-	b = strconv.AppendInt(b, int64(j.Procs), 10)
-	b = append(b, ',')
-	b = strconv.AppendFloat(b, j.Boundness, 'g', -1, 64) // fmt's %v
-	b = append(b, ',')
-	b = appendSecondsV4(b, j.Deadline)
-	return append(b, '|')
+// runHash is FNV-64a over the exact bits of every input that shapes a
+// run's trajectory: integers as 64-bit two's complement, floats as
+// their IEEE-754 bits, bools as 0 or 1, each in little-endian byte
+// order. Nothing is printed, so no display resolution can hide a
+// difference, and nothing depends on encoder state.
+type runHash uint64
+
+// u64 feeds v's eight little-endian bytes.
+func (h *runHash) u64(v uint64) {
+	x := uint64(*h)
+	for i := 0; i < 8; i++ {
+		x = (x ^ v&0xff) * 1099511628211
+		v >>= 8
+	}
+	*h = runHash(x)
 }
 
-// appendSecondsV4 appends s the way units.Seconds.String printed it in
-// format v4: two decimals of days or hours, one of minutes or seconds.
-func appendSecondsV4(b []byte, s units.Seconds) []byte {
-	v := float64(s)
-	switch {
-	case s >= 86400:
-		return append(strconv.AppendFloat(b, v/86400, 'f', 2, 64), " d"...)
-	case s >= 3600:
-		return append(strconv.AppendFloat(b, v/3600, 'f', 2, 64), " h"...)
-	case s >= 60:
-		return append(strconv.AppendFloat(b, v/60, 'f', 1, 64), " min"...)
-	}
-	return append(strconv.AppendFloat(b, v, 'f', 1, 64), " s"...)
-}
+func (h *runHash) f64(v float64) { h.u64(math.Float64bits(v)) }
 
-// hashCfgFields feeds every trajectory-shaping RunConfig field except
-// the job set. Checkpoint and Resume are deliberately excluded: where
-// and how often a run snapshots does not change what it computes.
-// Workers (and test-only naive) are excluded for the same reason —
-// execution tiers never change results, so a checkpoint taken at one
-// worker count must resume at any other.
-func hashCfgFields(put func(string, ...any), cfg *RunConfig) {
-	put("cop=%v", cfg.COP)
-	put("prices=%v", cfg.Prices)
-	put("theta=%v", cfg.FairTheta)
-	put("sample=%v", cfg.SampleInterval)
-	put("match=%v", cfg.MatchInterval)
-	put("nomatch=%v", cfg.DisableMatching)
-	put("rebalance=%v", cfg.EnableRebalance)
-	put("randomcop=%v", cfg.RandomCOP)
-	put("guard=%v", cfg.ScanGuard)
-	if cfg.Battery != nil {
-		put("battery=%+v", *cfg.Battery)
-	}
-	if cfg.Online != nil {
-		put("online=%+v", *cfg.Online)
-	}
-	if cfg.Faults != nil {
-		put("faults=%+v", *cfg.Faults)
-	}
-	// A disabled telemetry spec constructs no state and perturbs no
-	// decision, so its checkpoints stay interchangeable with the oracle
-	// path's; only an active spec pins the hash.
-	if cfg.Telemetry != nil && cfg.Telemetry.Enabled() {
-		put("telemetry=%+v", *cfg.Telemetry)
-	}
-	if cfg.Brownout != nil {
-		put("brownout=%+v", *cfg.Brownout)
-	}
-	if cfg.Invariants != nil {
-		put("invariants=%+v", *cfg.Invariants)
-	}
-	if cfg.Wind != nil {
-		put("wind=%v/%d", cfg.Wind.Interval, len(cfg.Wind.Samples))
-		for _, w := range cfg.Wind.Samples {
-			put("%v", w)
+// value feeds v field by field, so every field of every config type is
+// hashed, including fields added later: a slice or array writes its
+// length and then its elements, a pointer writes 0 when nil and
+// otherwise 1 and its target.
+func (h *runHash) value(v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Bool:
+		if v.Bool() {
+			h.u64(1)
+		} else {
+			h.u64(0)
 		}
+	case reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64:
+		h.u64(uint64(v.Int()))
+	case reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+		h.u64(v.Uint())
+	case reflect.Float32, reflect.Float64:
+		h.f64(v.Float())
+	case reflect.Array, reflect.Slice:
+		h.u64(uint64(v.Len()))
+		for i := 0; i < v.Len(); i++ {
+			h.value(v.Index(i))
+		}
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			h.value(v.Field(i))
+		}
+	case reflect.Pointer:
+		if v.IsNil() {
+			h.u64(0)
+			return
+		}
+		h.u64(1)
+		h.value(v.Elem())
+	default:
+		panic(fmt.Sprintf("scheduler: the config hash has no writer for %v", v.Type()))
 	}
+}
+
+// hashConfig starts a run hash over every RunConfig field except the
+// job set, which the caller appends. Checkpoint and Resume are
+// excluded: where and how often a run snapshots does not change what it
+// computes. Workers and the test-only naive switch are excluded for
+// the same reason: execution tiers never change results, so a
+// checkpoint taken at one worker count must resume at any other. A
+// disabled telemetry spec constructs no state and perturbs no
+// decision, so it hashes like no spec, which keeps its checkpoints
+// interchangeable with the oracle path's.
+func hashConfig(cfg *RunConfig) runHash {
+	c := *cfg
+	c.Jobs, c.Checkpoint, c.Resume, c.Workers, c.naive = nil, nil, nil, 0, false
+	if c.Telemetry != nil && !c.Telemetry.Enabled() {
+		c.Telemetry = nil
+	}
+	h := runHash(14695981039346656037)
+	h.value(reflect.ValueOf(c))
+	return h
 }
 
 func (s *sim) snapMeta() snapMeta {
@@ -313,15 +294,36 @@ func (s *sim) snapMeta() snapMeta {
 	}
 }
 
-// snapshot captures the full simulation state.
+// snapshot captures the simulation state the configuration cannot
+// re-derive (see runSnapshot).
 func (s *sim) snapshot() (*runSnapshot, error) {
+	trace := s.trace()
 	pending := s.eng.PendingEvents()
 	events := make([]snapEvent, 0, len(pending))
+	next, arrivals := len(trace), 0
 	for _, ev := range pending {
 		if ev.Closure {
 			return nil, fmt.Errorf("scheduler: untagged event at t=%v cannot be checkpointed", ev.At)
 		}
+		if i := int(ev.Tag.A); ev.Tag.Kind == tagArrival && i < len(trace) {
+			// Trace arrivals pop in (Submit, index+1) order, so the
+			// unfired ones are a suffix of the trace, in index order.
+			if arrivals == 0 {
+				next = i
+			}
+			if i != next+arrivals || ev.At != trace[i].Submit || ev.Seq != uint64(i)+1 {
+				return nil, fmt.Errorf("scheduler: pending arrival of trace job %d (t=%v, seq %d) breaks the unfired suffix from job %d", i, ev.At, ev.Seq, next)
+			}
+			arrivals++
+			continue
+		}
+		if s.staleTag(ev.Tag) {
+			continue
+		}
 		events = append(events, snapEvent{At: ev.At, Seq: ev.Seq, Tag: ev.Tag})
+	}
+	if next+arrivals != len(trace) {
+		return nil, fmt.Errorf("scheduler: trace arrivals [%d, %d) are pending, but the trace has %d jobs", next, next+arrivals, len(trace))
 	}
 	randState, err := s.r.MarshalBinary()
 	if err != nil {
@@ -332,10 +334,10 @@ func (s *sim) snapshot() (*runSnapshot, error) {
 		Now:           s.eng.Now(),
 		Seq:           s.eng.Seq(),
 		Events:        events,
+		TraceNext:     next,
 		Cluster:       s.dc.CaptureState(func(j *workload.Job) int { return s.stateIdx[j] }),
 		Account:       s.account.CaptureState(),
 		Rand:          randState,
-		EffPref:       append([]int(nil), s.effPref...),
 		CurWind:       s.curWind,
 		NominalWind:   s.nominalWind,
 		ProfilesDirty: s.profilesDirty,
@@ -347,6 +349,9 @@ func (s *sim) snapshot() (*runSnapshot, error) {
 		SlicesDone:    s.slicesDone,
 		SliceSeq:      s.sliceSeq,
 		ScanLeft:      s.scanLeft,
+	}
+	if s.effResorted {
+		snap.EffPref = append([]int(nil), s.effPref...)
 	}
 	if s.account.Battery != nil {
 		snap.Battery = []battery.State{s.account.Battery.CaptureState()}
@@ -360,7 +365,13 @@ func (s *sim) snapshot() (*runSnapshot, error) {
 	}
 	snap.Jobs = make([]jobSnap, len(s.states))
 	for i := range s.states {
-		snap.Jobs[i] = jobSnap{Def: *s.states[i].job, Remaining: s.states[i].remaining, Finish: s.states[i].finish}
+		snap.Jobs[i] = jobSnap{Remaining: s.states[i].remaining, Finish: s.states[i].finish}
+	}
+	if len(s.states) > len(trace) {
+		snap.Injected = make([]workload.Job, 0, len(s.states)-len(trace))
+		for _, st := range s.states[len(trace):] {
+			snap.Injected = append(snap.Injected, *st.job)
+		}
 	}
 	if s.faults != nil {
 		f := s.faults
@@ -461,9 +472,9 @@ func (s *sim) emitCheckpoint() {
 // The snapshot's job set may exceed the resuming configuration's: jobs
 // streamed into the original run (Stepper.InjectJob) live only in the
 // snapshot, and restore rebuilds them from the carried definitions,
-// extending this run's job set. The configured jobs must match the
-// snapshot's prefix field-for-field — the identity meta (and the
-// config hash over the extended set) is checked around that overlay.
+// extending this run's job set. The configured trace must be the
+// snapshot's: the trace lengths must agree, and the exact config hash
+// over the extended job set pins every trace job's fields.
 func (s *sim) restore(data []byte) error {
 	var snap runSnapshot
 	if err := checkpoint.Decode(data, &snap); err != nil {
@@ -472,21 +483,20 @@ func (s *sim) restore(data []byte) error {
 	if snap.Meta.Scheme != s.scheme.Name || snap.Meta.Seed != s.cfg.Seed || snap.Meta.Procs != len(s.dc.Procs) {
 		return fmt.Errorf("scheduler: resume: snapshot belongs to a different run (snapshot %+v, this run %+v)", snap.Meta, s.snapMeta())
 	}
-	if len(snap.Jobs) < len(s.states) {
-		return fmt.Errorf("scheduler: resume: snapshot has %d jobs, run has %d", len(snap.Jobs), len(s.states))
+	trace := s.trace()
+	if len(snap.Jobs) != len(trace)+len(snap.Injected) {
+		return fmt.Errorf("scheduler: resume: snapshot has %d jobs and %d injected ones, this run's trace has %d", len(snap.Jobs), len(snap.Injected), len(trace))
 	}
-	for i := range s.states {
-		if *s.states[i].job != snap.Jobs[i].Def {
-			return fmt.Errorf("scheduler: resume: job %d differs from the snapshot's definition", i)
-		}
+	if snap.TraceNext < 0 || snap.TraceNext > len(trace) {
+		return fmt.Errorf("scheduler: resume: trace cursor %d outside a %d-job trace", snap.TraceNext, len(trace))
 	}
-	for i := len(s.states); i < len(snap.Jobs); i++ {
-		// Individually allocated, exactly like InjectJob: live pointers
-		// must never move under a growing backing array.
-		jp := new(workload.Job)
-		*jp = snap.Jobs[i].Def
+	for i := range snap.Injected {
+		// The decoded slice is never appended to, so its elements stay
+		// put like InjectJob's individual allocations: live pointers
+		// must never move.
+		jp := &snap.Injected[i]
 		s.states = append(s.states, jobState{job: jp})
-		s.stateIdx[jp] = i
+		s.stateIdx[jp] = len(s.states) - 1
 	}
 	if want := s.snapMeta(); snap.Meta != want {
 		return fmt.Errorf("scheduler: resume: snapshot belongs to a different run (snapshot %+v, this run %+v)", snap.Meta, want)
@@ -494,10 +504,13 @@ func (s *sim) restore(data []byte) error {
 	if err := s.r.UnmarshalBinary(snap.Rand); err != nil {
 		return fmt.Errorf("scheduler: resume: rng state: %w", err)
 	}
-	if len(snap.EffPref) != len(s.effPref) {
-		return fmt.Errorf("scheduler: resume: effPref length %d, want %d", len(snap.EffPref), len(s.effPref))
+	if snap.EffPref != nil {
+		if len(snap.EffPref) != len(s.effPref) {
+			return fmt.Errorf("scheduler: resume: effPref length %d, want %d", len(snap.EffPref), len(s.effPref))
+		}
+		copy(s.effPref, snap.EffPref)
+		s.effResorted = true
 	}
-	copy(s.effPref, snap.EffPref)
 	s.profilesDirty = snap.ProfilesDirty
 
 	slices, err := s.dc.RestoreState(snap.Cluster, func(ref int) (*workload.Job, error) {
@@ -648,16 +661,33 @@ func (s *sim) restore(data []byte) error {
 		return fmt.Errorf("scheduler: resume: telemetry presence mismatch")
 	}
 
-	// Rebuild the event queue with original (at, seq) pairs.
+	// Rebuild the event queue with original (at, seq) pairs, merging
+	// the re-derived trace arrivals in so that every event appends to
+	// the engine's in-order run, as the arrivals do at construction.
 	s.eng.Reset(snap.Now, snap.Seq)
+	next := snap.TraceNext
+	arriveBefore := func(at units.Seconds, seq uint64) error {
+		for ; next < len(trace); next++ {
+			if sub := trace[next].Submit; sub > at || sub == at && uint64(next)+1 > seq {
+				return nil
+			}
+			if err := s.injectArrival(next); err != nil {
+				return fmt.Errorf("scheduler: resume: trace job %d: %w", next, err)
+			}
+		}
+		return nil
+	}
 	ckptRestored := false
 	for _, ev := range snap.Events {
-		keep, err := s.validateTag(ev.Tag, slices)
+		keep, err := s.validateTag(ev.Tag)
 		if err != nil {
 			return fmt.Errorf("scheduler: resume: event at t=%v: %w", ev.At, err)
 		}
 		if !keep {
 			continue
+		}
+		if err := arriveBefore(ev.At, ev.Seq); err != nil {
+			return err
 		}
 		if ev.Tag.Kind == tagCheckpoint {
 			ckptRestored = true
@@ -665,6 +695,9 @@ func (s *sim) restore(data []byte) error {
 		if err := s.eng.InjectTag(ev.At, ev.Seq, ev.Tag); err != nil {
 			return fmt.Errorf("scheduler: resume: %w", err)
 		}
+	}
+	if err := arriveBefore(units.Seconds(math.Inf(1)), math.MaxUint64); err != nil {
+		return err
 	}
 	// The resumed run may enable checkpointing even when the snapshot
 	// holds no pending tick (the original run checkpointed only on
@@ -675,19 +708,27 @@ func (s *sim) restore(data []byte) error {
 	return nil
 }
 
+// staleTag reports a completion or margin check whose slice is gone.
+// Serials are never reissued, so the dispatcher would drop the event
+// whenever it fired. Capture leaves such events out and restore drops
+// them, so a resumed run's checkpoints equal the uninterrupted run's.
+func (s *sim) staleTag(tag eventTag) bool {
+	return (tag.Kind == tagCompletion || tag.Kind == tagMargin) && s.sliceFor(int(tag.A)) == nil
+}
+
 // validateTag vets a pending event against the restored world. keep is
-// false for events that are provably no-ops there: a completion or
-// margin check whose slice no longer exists, or a checkpoint tick when
-// the resumed run disabled checkpointing. Dropping a no-op instead of
-// replaying it cannot change the trajectory — the dispatcher guards on
-// (serial, gen, running, level) and would return immediately. Kept
-// events need no callback rebuilt: the engine routes their tags back
-// through the same dispatcher the live run uses.
-func (s *sim) validateTag(tag eventTag, slices map[int]*cluster.Slice) (bool, error) {
+// false for events that are provably no-ops there: a stale completion
+// or margin check (see staleTag), or a checkpoint tick when the resumed
+// run disabled checkpointing. Dropping a no-op instead of replaying it
+// cannot change the trajectory. Kept events need no callback rebuilt:
+// the engine routes their tags back through the same dispatcher the
+// live run uses.
+func (s *sim) validateTag(tag eventTag) (bool, error) {
 	switch tag.Kind {
 	case tagArrival:
-		if tag.A < 0 || int(tag.A) >= len(s.states) {
-			return false, fmt.Errorf("arrival index %d out of range", tag.A)
+		// Trace arrivals travel as runSnapshot.TraceNext.
+		if int(tag.A) < len(s.trace()) || int(tag.A) >= len(s.states) {
+			return false, fmt.Errorf("arrival index %d is not an injected job's", tag.A)
 		}
 		return true, nil
 	case tagWindTick:
@@ -713,10 +754,7 @@ func (s *sim) validateTag(tag eventTag, slices map[int]*cluster.Slice) (bool, er
 		}
 		return true, nil
 	case tagCompletion:
-		if _, ok := slices[int(tag.A)]; !ok {
-			return false, nil // slice completed or replaced; stale no-op
-		}
-		return true, nil
+		return !s.staleTag(tag), nil
 	case tagFinishScan:
 		if tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
 			return false, fmt.Errorf("scan finish for processor %d out of range", tag.A)
@@ -742,10 +780,7 @@ func (s *sim) validateTag(tag eventTag, slices map[int]*cluster.Slice) (bool, er
 		if s.faults == nil {
 			return false, fmt.Errorf("margin event with fault injection disabled")
 		}
-		if _, ok := slices[int(tag.A)]; !ok {
-			return false, nil // slice gone; stale no-op
-		}
-		return true, nil
+		return !s.staleTag(tag), nil
 	case tagReprofiled:
 		if s.faults == nil || tag.FPDrift <= 0 {
 			return false, fmt.Errorf("reprofile event invalid")

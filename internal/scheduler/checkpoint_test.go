@@ -1,11 +1,14 @@
 package scheduler
 
 import (
+	"bytes"
 	"context"
 	"encoding/binary"
 	"errors"
 	"hash/crc32"
+	"math"
 	"reflect"
+	"slices"
 	"testing"
 
 	"iscope/internal/battery"
@@ -13,6 +16,7 @@ import (
 	"iscope/internal/checkpoint"
 	"iscope/internal/invariants"
 	"iscope/internal/units"
+	"iscope/internal/workload"
 )
 
 // snapCollector is a checkpoint sink that keeps every snapshot.
@@ -132,14 +136,21 @@ func TestResumeDeterminismKitchenSink(t *testing.T) {
 		t.Fatalf("want several snapshots, got %d", len(col.snaps))
 	}
 	for i, snap := range col.snaps {
-		re := base
+		reCol := &snapCollector{}
+		re := ck
 		re.Resume = snap
+		re.Checkpoint = &CheckpointConfig{Every: units.Hours(2), Sink: reCol.sink}
 		resumed, err := Run(fleet, sch, re)
 		if err != nil {
 			t.Fatalf("resume from snapshot %d: %v", i, err)
 		}
 		if !reflect.DeepEqual(baseline, resumed) {
 			t.Fatalf("resume from snapshot %d diverged", i)
+		}
+		// Every later periodic checkpoint is the uninterrupted run's at
+		// the same instant, byte for byte.
+		if !slices.EqualFunc(reCol.snaps, col.snaps[i+1:], bytes.Equal) {
+			t.Fatalf("resume from snapshot %d: its %d periodic checkpoints differ from the uninterrupted run's %d", i, len(reCol.snaps), len(col.snaps)-i-1)
 		}
 	}
 }
@@ -242,7 +253,7 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	jobs := testJobs(t, 42, 40, 0.3)
 	w := testWind(t, fleet, 305)
 	sch, _ := SchemeByName("BinEffi")
-	base := RunConfig{Seed: 3, Jobs: jobs, Wind: w}
+	base := RunConfig{Seed: 3, Jobs: jobs, Wind: w, MatchInterval: units.Minutes(10)}
 	col := &snapCollector{}
 	ck := base
 	ck.Checkpoint = &CheckpointConfig{Every: units.Hours(4), Sink: col.sink}
@@ -274,6 +285,85 @@ func TestResumeRejectsMismatchedRun(t *testing.T) {
 	re.Resume = snap
 	if _, err := Run(fleet, sch, re); err == nil {
 		t.Error("resume with a different config accepted")
+	}
+
+	// Inputs the snapshot leaves to the configuration, each moved by
+	// less than a display format shows. Every change is valid, so a
+	// refusal can only come from the config hash.
+	trace := func(edit func(jobs []workload.Job)) *workload.Trace {
+		tr := &workload.Trace{Jobs: append([]workload.Job(nil), jobs.Jobs...)}
+		edit(tr.Jobs)
+		return tr
+	}
+	last := len(jobs.Jobs) - 1
+	moved := *w
+	moved.Samples = append([]units.Watts(nil), w.Samples...)
+	moved.Samples[len(moved.Samples)/2]++
+	for name, edit := range map[string]func(*RunConfig){
+		"a trace job's submit one ulp later": func(c *RunConfig) {
+			c.Jobs = trace(func(js []workload.Job) {
+				js[last].Submit = units.Seconds(math.Nextafter(float64(js[last].Submit), math.Inf(1)))
+			})
+		},
+		"a trace job's urgency": func(c *RunConfig) {
+			c.Jobs = trace(func(js []workload.Job) { js[last/2].Urgency = 1 - js[last/2].Urgency })
+		},
+		"a wind sample 1 W higher": func(c *RunConfig) { c.Wind = &moved },
+		"a 601 s match interval":   func(c *RunConfig) { c.MatchInterval = 601 },
+	} {
+		re := base
+		edit(&re)
+		if err := re.Validate(); err != nil {
+			t.Fatalf("%s: the edited config is invalid: %v", name, err)
+		}
+		re.Resume = snap
+		if _, err := Run(fleet, sch, re); err == nil {
+			t.Errorf("resume with %s accepted", name)
+		}
+	}
+}
+
+// TestCheckpointOmitsTraceInputs: a snapshot leaves the configured
+// trace to the configuration, so trace jobs that arrive after the
+// snapshot instant cost it less than 8 bytes each, their empty
+// progress entry, where carrying each job's definition and pending
+// arrival, as format 4 did, costs about 70.
+func TestCheckpointOmitsTraceInputs(t *testing.T) {
+	fleet := testFleet(t, 16)
+	jobs := testJobs(t, 42, 40, 0.3)
+	w := testWind(t, fleet, 306)
+	sch, _ := SchemeByName("BinEffi")
+	const extra = 200
+	longer := &workload.Trace{Jobs: append([]workload.Job(nil), jobs.Jobs...)}
+	last := jobs.Jobs[len(jobs.Jobs)-1]
+	for i := 0; i < extra; i++ {
+		j := last
+		j.ID += 1 + i
+		shift := units.Hours(1) + units.Seconds(i)
+		j.Submit += shift
+		if j.Deadline != 0 {
+			j.Deadline += shift
+		}
+		longer.Jobs = append(longer.Jobs, j)
+	}
+	snapshot := func(tr *workload.Trace) []byte {
+		t.Helper()
+		st, err := NewStepper(fleet, sch, RunConfig{Seed: 3, Jobs: tr, Wind: w})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer st.Close()
+		st.Seal()
+		batchTo(t, st, last.Submit/2)
+		snap, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return snap
+	}
+	short, long := snapshot(jobs), snapshot(longer)
+	if grown := len(long) - len(short); grown >= 8*extra {
+		t.Fatalf("%d jobs arriving after the snapshot grew it by %d bytes (%.1f per job), want under 8 per job", extra, grown, float64(grown)/extra)
 	}
 }
 
@@ -307,16 +397,19 @@ func TestResumeRejectsCorruptSnapshots(t *testing.T) {
 		t.Errorf("corrupt snapshot: got %v, want ErrChecksum", err)
 	}
 
-	// The future-version envelope is kept well-formed (checksum
-	// recomputed), so rejection provably happens on the version field,
-	// not as a checksum side effect.
-	future := append([]byte(nil), snap...)
-	binary.LittleEndian.PutUint16(future[4:6], checkpoint.Version+1)
-	body := future[:len(future)-4]
-	binary.LittleEndian.PutUint32(future[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
-	re.Resume = future
-	if _, err := Run(fleet, sch, re); !errors.Is(err, checkpoint.ErrVersion) {
-		t.Errorf("future-version snapshot: got %v, want ErrVersion", err)
+	// The other-version envelopes, a version-4 file from an older build
+	// and a future one, are kept well-formed (checksum recomputed), so
+	// rejection provably happens on the version field, not as a
+	// checksum side effect.
+	for _, version := range []uint16{4, checkpoint.Version + 1} {
+		other := append([]byte(nil), snap...)
+		binary.LittleEndian.PutUint16(other[4:6], version)
+		body := other[:len(other)-4]
+		binary.LittleEndian.PutUint32(other[len(body):], crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		re.Resume = other
+		if _, err := NewStepper(fleet, sch, re); !errors.Is(err, checkpoint.ErrVersion) {
+			t.Errorf("version-%d snapshot: got %v, want ErrVersion", version, err)
+		}
 	}
 }
 

@@ -7,13 +7,11 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"math"
 	"os"
 	"path/filepath"
 	"testing"
 
 	"iscope/internal/checkpoint"
-	"iscope/internal/rng"
 	"iscope/internal/scheduler/testgrid"
 	"iscope/internal/units"
 	"iscope/internal/workload"
@@ -85,7 +83,7 @@ func TestCheckpointDigestsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePendingKinds(t, snap, tagArrival, tagWindTick, tagCheckpoint, tagCompletion, tagFaultEvent, tagTelemetry, tagRepaired, tagReprofiled)
+		requirePendingKinds(t, snap, len(jobs.Jobs), tagWindTick, tagCheckpoint, tagCompletion, tagFaultEvent, tagTelemetry, tagRepaired, tagReprofiled)
 		batchTo(t, st, units.Seconds(1e18))
 		want := resultJSON(t, st)
 		if len(col.snaps) < 2 {
@@ -109,6 +107,11 @@ func TestCheckpointDigestsGolden(t *testing.T) {
 		}
 		if len(reCol.snaps) == 0 {
 			t.Fatal("the resumed run emitted no periodic checkpoints")
+		}
+		for i, c := range reCol.snaps {
+			if j := len(col.snaps) - len(reCol.snaps) + i; j < 0 || !bytes.Equal(c, col.snaps[j]) {
+				t.Errorf("the resumed run's checkpoint %d differs from the uninterrupted run's at the same instant", i+1)
+			}
 		}
 
 		log.add("batch/snapshot", snap)
@@ -140,7 +143,7 @@ func TestCheckpointDigestsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		requirePendingKinds(t, snap, tagArrival, tagWindTick, tagCompletion, tagTelemetry)
+		requirePendingKinds(t, snap, 0, tagArrival, tagWindTick, tagCompletion, tagTelemetry)
 		feed(t, st, jobs.Jobs[next:], units.Seconds(1e18))
 		st.Seal()
 		batchTo(t, st, units.Seconds(1e18))
@@ -243,12 +246,17 @@ func resultJSON(t *testing.T, st *Stepper) []byte {
 }
 
 // requirePendingKinds fails unless the snapshot's queue holds at least
-// one event of every listed kind, so the digests cover them.
-func requirePendingKinds(t *testing.T, data []byte, kinds ...tagKind) {
+// one event of every listed kind, and, for a run over a trace of that
+// many jobs, a trace cursor strictly inside it, so the digests cover
+// them.
+func requirePendingKinds(t *testing.T, data []byte, trace int, kinds ...tagKind) {
 	t.Helper()
 	var snap runSnapshot
 	if err := checkpoint.Decode(data, &snap); err != nil {
 		t.Fatal(err)
+	}
+	if trace > 0 && (snap.TraceNext <= 0 || snap.TraceNext >= trace) {
+		t.Errorf("snapshot at t=%v has trace cursor %d, want one strictly inside the %d-job trace", snap.Now, snap.TraceNext, trace)
 	}
 	seen := map[tagKind]bool{}
 	for _, ev := range snap.Events {
@@ -261,58 +269,5 @@ func requirePendingKinds(t *testing.T, data []byte, kinds ...tagKind) {
 		if !seen[k] {
 			t.Errorf("snapshot at t=%v holds no pending event of kind %d (%d events)", snap.Now, k, len(snap.Events))
 		}
-	}
-}
-
-// jobLineV4 is the fmt oracle for appendJob: the job section as format
-// v4 wrote it, "%d,%v,%v,%v,%v,%v|" with units.Seconds.String's formats
-// of that version spelled out.
-func jobLineV4(j *workload.Job) string {
-	sec := func(s units.Seconds) string {
-		switch {
-		case s >= 86400:
-			return fmt.Sprintf("%.2f d", float64(s)/86400)
-		case s >= 3600:
-			return fmt.Sprintf("%.2f h", float64(s)/3600)
-		case s >= 60:
-			return fmt.Sprintf("%.1f min", float64(s)/60)
-		default:
-			return fmt.Sprintf("%.1f s", float64(s))
-		}
-	}
-	return fmt.Sprintf("%d,%s,%s,%v,%v,%s|", j.ID, sec(j.Submit), sec(j.Runtime), j.Procs, j.Boundness, sec(j.Deadline))
-}
-
-// TestConfigHashJobWriterMatchesFmt checks the config hash's strconv
-// job writer byte for byte against the fmt oracle, over random jobs and
-// the display boundaries of every time field.
-func TestConfigHashJobWriterMatchesFmt(t *testing.T) {
-	times := []units.Seconds{0, 0.04, 0.05, 59.9, 59.95, 59.99999, 60, 60.05, 3599.99, 3600, 3617,
-		86399.9999, 86400, 1e7, 1e18, -1, -59.95, units.Seconds(math.Inf(1))}
-	fracs := []float64{0, 1, 0.5, 1.0 / 3, 1e-7, 0.1 + 0.2, 1e21}
-	r := rng.New(17, 3)
-	var buf []byte
-	check := func(j workload.Job) {
-		t.Helper()
-		buf = appendJob(buf[:0], &j)
-		if got, want := string(buf), jobLineV4(&j); got != want {
-			t.Fatalf("job %+v: writer %q, fmt %q", j, got, want)
-		}
-	}
-	for _, s := range times {
-		check(workload.Job{ID: 1, Submit: s, Runtime: s, Procs: 2, Boundness: 0.5, Deadline: s})
-	}
-	for _, b := range fracs {
-		check(workload.Job{ID: -3, Submit: 10, Runtime: 20, Procs: 1, Boundness: b})
-	}
-	for i := 0; i < 20000; i++ {
-		pick := func() units.Seconds {
-			if r.IntN(4) == 0 {
-				return times[r.IntN(len(times))]
-			}
-			return units.Seconds(r.Uniform(0, 3*86400))
-		}
-		check(workload.Job{ID: r.IntN(1 << 30), Submit: pick(), Runtime: pick(), Procs: 1 + r.IntN(4096),
-			Boundness: r.Uniform(0, 1), Deadline: pick()})
 	}
 }

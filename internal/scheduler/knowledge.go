@@ -9,7 +9,7 @@ package scheduler
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"iscope/internal/binning"
 	"iscope/internal/power"
@@ -288,30 +288,24 @@ func (k *OracleKnowledge) Name() string { return "Oracle" }
 
 // effOrder returns processor IDs sorted by a Knowledge's EffRank
 // (ties broken by the provided tiebreak permutation, then by ID), the
-// static preference order Effi policies walk.
+// static preference order Effi policies walk. Ranks are computed once
+// into (rank, position, id) keys, which are all distinct, so an
+// unstable sort gives exactly the stable sort's order: tiebreak need
+// not be a permutation (tests pass all-zero tiebreaks), and where
+// (rank, position) ties the id decides, as insertion order would.
 func effOrder(n int, k Knowledge, tiebreak []int) []int {
-	out := make([]int, n)
-	for i := range out {
-		out[i] = i
-	}
-	pos := make([]int, n)
+	pos := make([]int32, n)
 	for i, id := range tiebreak {
-		pos[id] = i
+		pos[id] = int32(i)
 	}
-	// Ranks are precomputed so the comparator doesn't re-derive them
-	// O(n log n) times. The sort stays stable: tiebreak need not be a
-	// permutation (tests pass all-zero tiebreaks), so (rank, pos) is not
-	// necessarily a strict order and insertion order must break the rest.
-	rank := make([]float64, n)
-	for i := 0; i < n; i++ {
-		rank[i] = k.EffRank(i)
+	keys := make([]effKey, n)
+	for id := range keys {
+		keys[id] = effKey{rank: k.EffRank(id), pos: pos[id], id: int32(id)}
 	}
-	sort.SliceStable(out, func(a, b int) bool {
-		ra, rb := rank[out[a]], rank[out[b]]
-		if ra != rb {
-			return ra < rb
-		}
-		return pos[out[a]] < pos[out[b]]
-	})
+	slices.SortFunc(keys, effCmp)
+	out := make([]int, n)
+	for i, key := range keys {
+		out[i] = int(key.id)
+	}
 	return out
 }

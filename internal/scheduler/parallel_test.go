@@ -23,8 +23,8 @@ func TestWorkersExcludedFromCfgHash(t *testing.T) {
 	a := RunConfig{Seed: 1, Jobs: jobs}
 	b := a
 	b.Workers = 8
-	if cfgHash(a) != cfgHash(b) {
-		t.Fatal("Workers changed cfgHash; checkpoints would refuse to resume across worker counts")
+	if hashConfig(&a) != hashConfig(&b) {
+		t.Fatal("Workers changed the config hash; checkpoints would refuse to resume across worker counts")
 	}
 }
 

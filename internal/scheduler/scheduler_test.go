@@ -2,9 +2,12 @@ package scheduler
 
 import (
 	"math"
+	"slices"
+	"sort"
 	"testing"
 
 	"iscope/internal/metrics"
+	"iscope/internal/rng"
 	"iscope/internal/scheduler/testgrid"
 	"iscope/internal/wind"
 	"iscope/internal/workload"
@@ -156,6 +159,53 @@ func TestEffOrderSorted(t *testing.T) {
 			t.Fatal("effOrder repeats a processor")
 		}
 		seen[id] = true
+	}
+}
+
+// effOrderStable is effOrder as it was built on sort.SliceStable, kept
+// as the oracle of the keyed sort.
+func effOrderStable(n int, k Knowledge, tiebreak []int) []int {
+	out := make([]int, n)
+	for i := range out {
+		out[i] = i
+	}
+	pos := make([]int, n)
+	for i, id := range tiebreak {
+		pos[id] = i
+	}
+	rank := make([]float64, n)
+	for i := 0; i < n; i++ {
+		rank[i] = k.EffRank(i)
+	}
+	sort.SliceStable(out, func(a, b int) bool {
+		ra, rb := rank[out[a]], rank[out[b]]
+		if ra != rb {
+			return ra < rb
+		}
+		return pos[out[a]] < pos[out[b]]
+	})
+	return out
+}
+
+// TestEffOrderMatchesStableSort checks the keyed sort against the
+// stable-sort oracle for bin knowledge (whole bins tie) and scan
+// knowledge, under a permutation tiebreak and an all-zero one.
+func TestEffOrderMatchesStableSort(t *testing.T) {
+	const n = 300
+	fleet := testFleet(t, n)
+	for _, kind := range []KnowledgeKind{KnowBin, KnowScan} {
+		k, err := fleet.Knowledge(kind)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for name, tiebreak := range map[string][]int{
+			"permutation": rng.New(9, 1).Perm(n),
+			"zero":        make([]int, n),
+		} {
+			if got, want := effOrder(n, k, tiebreak), effOrderStable(n, k, tiebreak); !slices.Equal(got, want) {
+				t.Errorf("%s knowledge, %s tiebreak: keyed order %v, stable sort %v", k.Name(), name, got, want)
+			}
+		}
 	}
 }
 

@@ -121,16 +121,16 @@ type RunConfig struct {
 	// shards merge under a strict total order, so results and
 	// checkpoint bytes are bit-identical for every value of Workers;
 	// only wall-clock time changes. Like naive, it is excluded from
-	// cfgHash: a checkpoint taken at one worker count resumes at any
-	// other.
+	// the config hash: a checkpoint taken at one worker count resumes at
+	// any other.
 	Workers int
 
 	// naive switches the scheduler's hot paths to the retained reference
 	// implementations (full re-sorts, fresh scratch allocations, no
 	// memoized power) — the oracle the equivalence tests compare the
 	// optimized paths against, byte for byte. Test-only, hence
-	// unexported; it is excluded from cfgHash because it must not change
-	// any result.
+	// unexported; it is excluded from the config hash because it must
+	// not change any result.
 	naive bool
 }
 
@@ -256,6 +256,9 @@ type sim struct {
 	r             *rng.Rand
 	effPref       []int // efficiency preference order
 	profilesDirty bool  // effPref stale after new scan results
+	// effResorted marks an effPref that online profiling has re-sorted
+	// away from the order newSim builds; until then snapshots omit it.
+	effResorted bool
 
 	// Online profiling state (nil scanner when disabled).
 	online       OnlineProfiling
@@ -670,7 +673,7 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		// (jobs wider than the fleet are clamped to one slice per CPU).
 		s.states[i] = jobState{job: j}
 		s.stateIdx[j] = i
-		if err := s.eng.InjectTag(j.Submit, uint64(i)+1, eventTag{Kind: tagArrival, A: int32(i)}); err != nil {
+		if err := s.injectArrival(i); err != nil {
 			return nil, err
 		}
 	}
@@ -727,6 +730,21 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 	}
 
 	return s, nil
+}
+
+// trace returns the configured trace: the jobs whose definitions and
+// pending arrivals a snapshot leaves to the configuration.
+func (s *sim) trace() []workload.Job {
+	if s.cfg.Jobs == nil {
+		return nil
+	}
+	return s.cfg.Jobs.Jobs
+}
+
+// injectArrival queues job idx's arrival at its Submit time with
+// sequence number idx+1, inside the reserved arrival band.
+func (s *sim) injectArrival(idx int) error {
+	return s.eng.InjectTag(s.states[idx].job.Submit, uint64(idx)+1, eventTag{Kind: tagArrival, A: int32(idx)})
 }
 
 // moreWork reports whether the run still has (or may still receive)
@@ -1109,6 +1127,7 @@ func (s *sim) efficiencyOrder() []int {
 			s.refreshEffOrder()
 		}
 		s.profilesDirty = false
+		s.effResorted = true
 	}
 	return s.effPref
 }
@@ -1230,8 +1249,10 @@ func (s *sim) resetEffDirty() {
 	s.effDirtyOverflow = false
 }
 
-// effCmp orders (rank ascending, previous position): positions form a
-// permutation, so the order is strict.
+// effCmp orders (rank ascending, previous position, id), a strict
+// order. The incremental refresh keys positions that form a
+// permutation, so the id decides only in effOrder, whose tiebreak
+// positions may repeat.
 func effCmp(a, b effKey) int {
 	if a.rank != b.rank {
 		if a.rank < b.rank {
@@ -1239,7 +1260,10 @@ func effCmp(a, b effKey) int {
 		}
 		return 1
 	}
-	return int(a.pos) - int(b.pos)
+	if a.pos != b.pos {
+		return int(a.pos) - int(b.pos)
+	}
+	return int(a.id) - int(b.id)
 }
 
 // windAbundant implements ScanFair's mode switch: renewable power

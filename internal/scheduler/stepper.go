@@ -175,7 +175,7 @@ func (st *Stepper) InjectJob(at units.Seconds, job workload.Job) (int, error) {
 	s.states = append(s.states, jobState{job: jp})
 	s.stateIdx[jp] = idx
 	s.jobsLeft++
-	if err := s.eng.InjectTag(at, uint64(idx)+1, eventTag{Kind: tagArrival, A: int32(idx)}); err != nil {
+	if err := s.injectArrival(idx); err != nil {
 		// Roll the bookkeeping back; the queue was not touched.
 		s.states = s.states[:idx]
 		delete(s.stateIdx, jp)
@@ -212,11 +212,12 @@ func validateJob(j *workload.Job) error {
 // idempotent.
 func (st *Stepper) Seal() { st.s.open = false }
 
-// Snapshot encodes the full simulation state between events, exactly
-// as the periodic checkpoint sink would receive it. The snapshot is
-// self-contained: it carries every job definition, so a stepper
-// resumed from it (cfg.Resume) does not need the injected jobs
-// re-submitted.
+// Snapshot encodes the simulation state between events, exactly as the
+// periodic checkpoint sink would receive it. It carries the definition
+// of every injected job, so a stepper resumed from it (cfg.Resume)
+// does not need them re-submitted; the configured trace and its
+// pending arrivals come from the resuming configuration, which must
+// hash the same.
 func (st *Stepper) Snapshot() ([]byte, error) {
 	snap, err := st.s.snapshot()
 	if err != nil {

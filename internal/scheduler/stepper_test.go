@@ -211,9 +211,9 @@ func TestStepperStatus(t *testing.T) {
 }
 
 // TestStepperSnapshotResume: a Snapshot taken mid-stream restores into
-// a fresh stepper (with no trace of its own — snapshots are
-// self-contained) that finishes bit-identical to the uninterrupted
-// run.
+// a fresh stepper over the same trace, which the snapshot leaves to the
+// configuration, and finishes bit-identical to the uninterrupted run; a
+// stepper without the trace is refused.
 func TestStepperSnapshotResume(t *testing.T) {
 	fleet := testFleet(t, 8)
 	jobs := testJobs(t, 77, 20, 0.3)
@@ -240,6 +240,10 @@ func TestStepperSnapshotResume(t *testing.T) {
 	resume := cfg
 	resume.Jobs = nil
 	resume.Resume = snap
+	if _, err := NewStepper(fleet, Schemes()[2], resume); err == nil {
+		t.Fatal("a snapshot over a trace resumed without it")
+	}
+	resume.Jobs = jobs
 	b, err := NewStepper(fleet, Schemes()[2], resume)
 	if err != nil {
 		t.Fatalf("resume: %v", err)

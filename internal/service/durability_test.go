@@ -3,6 +3,7 @@ package service
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -13,6 +14,7 @@ import (
 	"strings"
 	"testing"
 
+	"iscope/internal/checkpoint"
 	"iscope/internal/scheduler/testgrid"
 	"iscope/internal/wal"
 )
@@ -225,6 +227,66 @@ func TestLoadAllEraMismatch(t *testing.T) {
 				t.Fatalf("failed load left %d partial tenants", left)
 			}
 		})
+	}
+}
+
+// TestLoadAllRefusesV4Checkpoint: a state directory written by a build
+// of checkpoint format 4 is refused as a whole. Its snapshot envelope
+// is well-formed and matches its metadata, so the refusal is the typed
+// version error, and no tenant is left behind.
+func TestLoadAllRefusesV4Checkpoint(t *testing.T) {
+	dir := t.TempDir()
+	srv := durableServer(dir)
+	defer srv.Close()
+	durableFixture(t, srv)
+	if err := srv.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	srv.Close()
+
+	snaps, err := filepath.Glob(filepath.Join(dir, "dur.*"+snapSuffix))
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("want one snapshot, got %v (%v)", snaps, err)
+	}
+	data, err := os.ReadFile(snaps[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	binary.LittleEndian.PutUint16(data[4:6], 4)
+	body := data[:len(data)-4]
+	binary.LittleEndian.PutUint32(data[len(body):], crcBytes(body))
+	if err := os.WriteFile(snaps[0], data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	metaPath := filepath.Join(dir, "dur"+metaSuffix)
+	raw, err := os.ReadFile(metaPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var meta tenantMeta
+	if err := json.Unmarshal(raw, &meta); err != nil {
+		t.Fatal(err)
+	}
+	meta.SnapCRC = crcBytes(data)
+	if raw, err = json.Marshal(meta); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(metaPath, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	re := durableServer(dir)
+	defer re.Close()
+	n, err := re.LoadAll(dir)
+	var lerr *LoadError
+	if !errors.As(err, &lerr) || !errors.Is(err, checkpoint.ErrVersion) {
+		t.Fatalf("LoadAll of a version-4 state dir: got %v, want a *LoadError wrapping ErrVersion", err)
+	}
+	re.mu.RLock()
+	left := len(re.tenants)
+	re.mu.RUnlock()
+	if n != 0 || left != 0 {
+		t.Fatalf("refused load reported %d tenants and left %d", n, left)
 	}
 }
 
