@@ -160,18 +160,15 @@ func BenchmarkSimulationRun(b *testing.B) {
 
 // BenchmarkSimulationRunLarge is the fleet-scale tier: one complete
 // ScanFair simulation with rebalancing at the paper's 4,800-proc
-// datacenter size, swept over worker counts. The 48,000-proc and
-// million-proc decade-up sub-benchmarks are skipped under -short so PR
-// CI runs the 4,800 tier and the nightly workflow runs the rest.
-// Because results are bit-identical for every worker count (see
-// internal/scheduler/parallel.go), the sweep measures only the
-// sharding speedup, never a behaviour change. The million-proc tier
-// exists to exercise the structure-of-arrays cluster state, the
-// calendar event queue and the incremental order maintenance at the
-// scale they were built for; its job count is sub-proportional so a
-// rep stays within a nightly-runner budget. Each tier builds its fleet,
-// trace and wind inside its own sub-benchmark, so a -bench pattern
-// that filters a tier out also skips building its inputs.
+// datacenter size. The 48,000-proc and million-proc decade-up
+// sub-benchmarks are skipped under -short so PR CI runs the 4,800 tier
+// and the nightly workflow runs the rest. The million-proc tier exists
+// to exercise the structure-of-arrays cluster state, the event engine's
+// in-order run and heap, and the incremental order maintenance at the
+// scale they were built for; its job count is sub-proportional so a rep
+// stays within a nightly-runner budget. Each tier builds its fleet,
+// trace and wind inside its own sub-benchmark, so a -bench pattern that
+// filters a tier out also skips building its inputs.
 func BenchmarkSimulationRunLarge(b *testing.B) {
 	for _, size := range []struct {
 		procs, jobs int
@@ -199,26 +196,12 @@ func BenchmarkSimulationRunLarge(b *testing.B) {
 			}
 			w = w.Scale(float64(size.procs) / 4800.0)
 			sch, _ := scheduler.SchemeByName("ScanFair")
-			workerSweep := []int{1, 2, 4, 8}
-			if size.short {
-				workerSweep = []int{1, 8}
-			}
-			for _, workers := range workerSweep {
-				b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-					cfg := scheduler.RunConfig{
-						Seed:            1,
-						Jobs:            jobs,
-						Wind:            w,
-						EnableRebalance: true,
-						Workers:         workers,
-					}
-					b.ResetTimer()
-					for i := 0; i < b.N; i++ {
-						if _, err := scheduler.Run(fleet, sch, cfg); err != nil {
-							b.Fatal(err)
-						}
-					}
-				})
+			cfg := scheduler.RunConfig{Seed: 1, Jobs: jobs, Wind: w, EnableRebalance: true}
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := scheduler.Run(fleet, sch, cfg); err != nil {
+					b.Fatal(err)
+				}
 			}
 		})
 	}
@@ -232,9 +215,9 @@ func BenchmarkSimulationRunLarge(b *testing.B) {
 // NewStepper with Resume, so it includes the construction a resume
 // cannot skip. Both report the snapshot's size as snapshot_bytes.
 func BenchmarkSnapshot(b *testing.B) {
-	for _, tier := range []struct{ procs, workers int }{{4800, 1}, {48000, 2}} {
-		b.Run(fmt.Sprintf("procs=%d", tier.procs), func(b *testing.B) {
-			fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, tier.procs))
+	for _, procs := range []int{4800, 48000} {
+		b.Run(fmt.Sprintf("procs=%d", procs), func(b *testing.B) {
+			fleet, err := scheduler.BuildFleet(scheduler.DefaultFleetSpec(1, procs))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -251,14 +234,12 @@ func BenchmarkSnapshot(b *testing.B) {
 				Jobs:            jobs,
 				Wind:            w.Scale(0.5 * float64(fleet.PeakDemand()) / float64(w.Mean())),
 				EnableRebalance: true,
-				Workers:         tier.workers,
 			}
 			sch, _ := scheduler.SchemeByName("ScanFair")
 			st, err := scheduler.NewStepper(fleet, sch, cfg)
 			if err != nil {
 				b.Fatal(err)
 			}
-			defer st.Close()
 			st.Seal()
 			for {
 				at, ok := st.PeekNextEventTime()
@@ -286,11 +267,9 @@ func BenchmarkSnapshot(b *testing.B) {
 				re := cfg
 				re.Resume = snap
 				for i := 0; i < b.N; i++ {
-					rs, err := scheduler.NewStepper(fleet, sch, re)
-					if err != nil {
+					if _, err := scheduler.NewStepper(fleet, sch, re); err != nil {
 						b.Fatal(err)
 					}
-					rs.Close()
 				}
 			})
 		})

@@ -42,16 +42,6 @@ type Benchmark struct {
 	AllocsPerOp      float64  `json:"allocs_per_op"`
 	MaxNsRegress     *float64 `json:"max_ns_regress,omitempty"`
 	MaxAllocsRegress *float64 `json:"max_allocs_regress,omitempty"`
-	// SpeedupVsWorkers1 is computed, never hand-written: for a
-	// benchmark named .../workers=N (N > 1) whose /workers=1 sibling
-	// appears in the same document, it is sibling ns/op divided by this
-	// benchmark's ns/op — above 1.0 means the parallel tier wins.
-	// MinSpeedupVsWorkers1 is a baseline budget: with -enforce-speedup
-	// the gate fails when the measured speedup falls below it. The
-	// budget is only meaningful on multi-core runners, so CI passes the
-	// flag conditionally on the runner's core count.
-	SpeedupVsWorkers1    *float64 `json:"speedup_vs_workers1,omitempty"`
-	MinSpeedupVsWorkers1 *float64 `json:"min_speedup_vs_workers1,omitempty"`
 }
 
 // File is the emitted document. Goos/Goarch/CPU and GOMAXPROCS are
@@ -74,11 +64,10 @@ var benchLine = regexp.MustCompile(`^(Benchmark\S+?)(?:-(\d+))?\s+(\d+)\s+([0-9.
 
 func main() {
 	var (
-		out        = flag.String("o", "", "write JSON here instead of stdout")
-		baseline   = flag.String("baseline", "", "gate mode: compare stdin against this benchjson file")
-		maxNs      = flag.Float64("max-ns-regress", 0.10, "gate mode: fail when ns/op grows by more than this fraction")
-		maxAllocs  = flag.Float64("max-allocs-regress", 0.10, "gate mode: fail when allocs/op grows by more than this fraction")
-		enforceSpd = flag.Bool("enforce-speedup", false, "gate mode: fail when a measured speedup_vs_workers1 falls below the baseline's min_speedup_vs_workers1 (only meaningful on multi-core runners)")
+		out       = flag.String("o", "", "write JSON here instead of stdout")
+		baseline  = flag.String("baseline", "", "gate mode: compare stdin against this benchjson file")
+		maxNs     = flag.Float64("max-ns-regress", 0.10, "gate mode: fail when ns/op grows by more than this fraction")
+		maxAllocs = flag.Float64("max-allocs-regress", 0.10, "gate mode: fail when allocs/op grows by more than this fraction")
 	)
 	flag.Parse()
 
@@ -91,7 +80,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "benchjson: no benchmark results on stdin")
 		os.Exit(2)
 	}
-	fillSpeedups(cur)
 
 	if *baseline != "" {
 		base, err := readFile(*baseline)
@@ -99,7 +87,7 @@ func main() {
 			fmt.Fprintf(os.Stderr, "benchjson: %v\n", err)
 			os.Exit(2)
 		}
-		if gate(os.Stdout, base, cur, *maxNs, *maxAllocs, *enforceSpd) {
+		if gate(os.Stdout, base, cur, *maxNs, *maxAllocs) {
 			os.Exit(1)
 		}
 		return
@@ -215,46 +203,6 @@ func parseRaw(r io.Reader) (*File, error) {
 	return f, nil
 }
 
-// workersName splits a ".../workers=N" benchmark name into its tier
-// prefix and worker count; ok is false for names without the suffix.
-func workersName(name string) (prefix string, workers int, ok bool) {
-	m := workersRe.FindStringSubmatch(name)
-	if m == nil {
-		return "", 0, false
-	}
-	w, err := strconv.Atoi(m[2])
-	if err != nil {
-		return "", 0, false
-	}
-	return m[1], w, true
-}
-
-var workersRe = regexp.MustCompile(`^(.+)/workers=(\d+)$`)
-
-// fillSpeedups computes speedup_vs_workers1 for every multi-worker
-// benchmark whose workers=1 sibling was measured in the same document.
-// The ratio is derived, never copied from a baseline, so a stale
-// hand-edited value can't leak into the gate.
-func fillSpeedups(f *File) {
-	w1 := map[string]float64{}
-	for _, b := range f.Benchmarks {
-		if prefix, w, ok := workersName(b.Name); ok && w == 1 && b.NsPerOp > 0 {
-			w1[prefix] = b.NsPerOp
-		}
-	}
-	for i := range f.Benchmarks {
-		b := &f.Benchmarks[i]
-		prefix, w, ok := workersName(b.Name)
-		if !ok || w == 1 || b.NsPerOp <= 0 {
-			continue
-		}
-		if base, ok := w1[prefix]; ok {
-			s := base / b.NsPerOp
-			b.SpeedupVsWorkers1 = &s
-		}
-	}
-}
-
 func median(v []float64) float64 {
 	if len(v) == 0 {
 		return 0
@@ -282,12 +230,9 @@ func readFile(path string) (*File, error) {
 // baseline override the flag defaults. Benchmarks present on only
 // one side are reported but never fail the gate, so adding or retiring
 // a benchmark doesn't require touching the baseline in the same change.
-// Speedup ratios versus the workers=1 sibling are always reported;
-// enforceSpd additionally fails entries below the baseline's
-// min_speedup_vs_workers1 budget. The report opens with both
-// documents' core counts, since ns/op and speedups only compare across
-// runs on the same count.
-func gate(w io.Writer, base, cur *File, maxNs, maxAllocs float64, enforceSpd bool) bool {
+// The report opens with both documents' core counts, since ns/op only
+// compares across runs on the same count.
+func gate(w io.Writer, base, cur *File, maxNs, maxAllocs float64) bool {
 	fmt.Fprintf(w, "  gomaxprocs: baseline %s, current %s\n", procsLabel(base.GOMAXPROCS), procsLabel(cur.GOMAXPROCS))
 	baseBy := map[string]Benchmark{}
 	for _, b := range base.Benchmarks {
@@ -322,20 +267,6 @@ func gate(w io.Writer, base, cur *File, maxNs, maxAllocs float64, enforceSpd boo
 		}
 		if allocDelta > allocBudget {
 			fmt.Fprintf(w, "       %s: allocs/op regressed %+.1f%%, budget %+.0f%%\n", c.Name, 100*allocDelta, 100*allocBudget)
-		}
-		if c.SpeedupVsWorkers1 != nil {
-			got := *c.SpeedupVsWorkers1
-			switch {
-			case b.MinSpeedupVsWorkers1 == nil:
-				fmt.Fprintf(w, "       %s: %.2fx vs workers=1\n", c.Name, got)
-			case enforceSpd && got < *b.MinSpeedupVsWorkers1:
-				failed = true
-				fmt.Fprintf(w, "       %s: %.2fx vs workers=1, below the %.2fx floor — FAIL\n", c.Name, got, *b.MinSpeedupVsWorkers1)
-			case enforceSpd:
-				fmt.Fprintf(w, "       %s: %.2fx vs workers=1 (floor %.2fx) ok\n", c.Name, got, *b.MinSpeedupVsWorkers1)
-			default:
-				fmt.Fprintf(w, "       %s: %.2fx vs workers=1 (floor %.2fx not enforced on this runner)\n", c.Name, got, *b.MinSpeedupVsWorkers1)
-			}
 		}
 	}
 	for name := range baseBy {

@@ -46,9 +46,9 @@ func TestParseRawAggregates(t *testing.T) {
 }
 
 // TestParseRecordsGOMAXPROCS: the document records the core count its
-// workers=N cells ran on — Go's -N name suffix, or 1 when Go omits the
-// suffix (GOMAXPROCS=1) — and refuses to fold results from different
-// counts into one document.
+// cells ran on — Go's -N name suffix, or 1 when Go omits the suffix
+// (GOMAXPROCS=1) — and refuses to fold results from different counts
+// into one document.
 func TestParseRecordsGOMAXPROCS(t *testing.T) {
 	f, err := parse(strings.NewReader(rawSample))
 	if err != nil {
@@ -58,12 +58,12 @@ func TestParseRecordsGOMAXPROCS(t *testing.T) {
 		t.Errorf("suffix -8: gomaxprocs %d, want 8", f.GOMAXPROCS)
 	}
 
-	single := "BenchmarkSimulationRunLarge/procs=4800/workers=2 \t 1\t 999000000 ns/op\t 80 B/op\t 3 allocs/op\n"
+	single := "BenchmarkSimulationRunLarge/procs=4800 \t 1\t 999000000 ns/op\t 80 B/op\t 3 allocs/op\n"
 	f, err = parse(strings.NewReader(single))
 	if err != nil {
 		t.Fatalf("parse: %v", err)
 	}
-	if f.GOMAXPROCS != 1 || f.Benchmarks[0].Name != "BenchmarkSimulationRunLarge/procs=4800/workers=2" {
+	if f.GOMAXPROCS != 1 || f.Benchmarks[0].Name != "BenchmarkSimulationRunLarge/procs=4800" {
 		t.Errorf("no suffix: gomaxprocs %d name %q, want 1 and the full name", f.GOMAXPROCS, f.Benchmarks[0].Name)
 	}
 
@@ -99,7 +99,7 @@ func TestGateReportsGOMAXPROCS(t *testing.T) {
 	} {
 		var out strings.Builder
 		base := &File{GOMAXPROCS: tc.base, Benchmarks: []Benchmark{{Name: "BenchmarkA", NsPerOp: 100}}}
-		if gate(&out, base, cur, 0.10, 0.10, false) {
+		if gate(&out, base, cur, 0.10, 0.10) {
 			t.Errorf("baseline gomaxprocs %d: equal timings failed the gate", tc.base)
 		}
 		if !strings.Contains(out.String(), tc.want) {
@@ -145,7 +145,7 @@ func TestGate(t *testing.T) {
 	for _, tc := range cases {
 		var out strings.Builder
 		cur := &File{Benchmarks: []Benchmark{tc.cur}}
-		if got := gate(&out, base, cur, 0.10, 0.10, false); got != tc.fail {
+		if got := gate(&out, base, cur, 0.10, 0.10); got != tc.fail {
 			t.Errorf("%s: gate=%v, want %v\n%s", tc.name, got, tc.fail, out.String())
 		}
 		if !strings.Contains(out.String(), "BenchmarkGone") {
@@ -170,7 +170,7 @@ func TestGatePerBenchmarkBudgets(t *testing.T) {
 		// +30% ns/op: over the 10% default, under the 50% override.
 		{Name: "BenchmarkLoose", NsPerOp: 1300, AllocsPerOp: 10},
 	}}
-	if gate(&out, base, cur, 0.10, 0.10, false) {
+	if gate(&out, base, cur, 0.10, 0.10) {
 		t.Errorf("loose override ignored; report:\n%s", out.String())
 	}
 
@@ -179,7 +179,7 @@ func TestGatePerBenchmarkBudgets(t *testing.T) {
 		// +50% ns/op exceeds even the loose override.
 		{Name: "BenchmarkLoose", NsPerOp: 1600, AllocsPerOp: 10},
 	}}
-	if !gate(&out, base, cur, 0.10, 0.10, false) {
+	if !gate(&out, base, cur, 0.10, 0.10) {
 		t.Errorf("regression past the loose override passed; report:\n%s", out.String())
 	}
 	for _, want := range []string{"BenchmarkLoose", "ns/op regressed", "budget +50%"} {
@@ -193,7 +193,7 @@ func TestGatePerBenchmarkBudgets(t *testing.T) {
 		// +10% allocs/op: inside the default, outside the 2% override.
 		{Name: "BenchmarkTight", NsPerOp: 1000, AllocsPerOp: 11},
 	}}
-	if !gate(&out, base, cur, 0.10, 0.10, false) {
+	if !gate(&out, base, cur, 0.10, 0.10) {
 		t.Errorf("tight alloc override ignored; report:\n%s", out.String())
 	}
 	for _, want := range []string{"BenchmarkTight", "allocs/op regressed", "budget +2%"} {
@@ -217,63 +217,6 @@ func TestBudgetsSurviveJSONRoundTrip(t *testing.T) {
 	}
 	if b.MaxAllocsRegress != nil {
 		t.Errorf("absent max_allocs_regress decoded as %v, want nil", *b.MaxAllocsRegress)
-	}
-}
-
-// TestSpeedupRatio covers the parallel-tier satellite: the
-// workers=N/workers=1 ratio is always recomputed from the current
-// document (never copied from a baseline), and the baseline's
-// min_speedup_vs_workers1 floor fails the gate only when the caller
-// opts in with enforceSpd (CI passes -enforce-speedup on runners with
-// enough cores to make the floor meaningful).
-func TestSpeedupRatio(t *testing.T) {
-	doc := &File{Benchmarks: []Benchmark{
-		{Name: "BenchmarkRun/procs=10/workers=1", NsPerOp: 1000, AllocsPerOp: 1},
-		{Name: "BenchmarkRun/procs=10/workers=8", NsPerOp: 400, AllocsPerOp: 1},
-		{Name: "BenchmarkScalar", NsPerOp: 5, AllocsPerOp: 0},
-	}}
-	fillSpeedups(doc)
-	if doc.Benchmarks[0].SpeedupVsWorkers1 != nil {
-		t.Errorf("workers=1 entry got a speedup ratio")
-	}
-	if doc.Benchmarks[2].SpeedupVsWorkers1 != nil {
-		t.Errorf("non-sweep entry got a speedup ratio")
-	}
-	got := doc.Benchmarks[1].SpeedupVsWorkers1
-	if got == nil || *got != 2.5 {
-		t.Fatalf("workers=8 speedup = %v, want 2.5", got)
-	}
-
-	floor := 3.0
-	base := &File{Benchmarks: []Benchmark{
-		{Name: "BenchmarkRun/procs=10/workers=1", NsPerOp: 1000, AllocsPerOp: 1},
-		{Name: "BenchmarkRun/procs=10/workers=8", NsPerOp: 400, AllocsPerOp: 1,
-			MinSpeedupVsWorkers1: &floor},
-	}}
-	var out strings.Builder
-	if gate(&out, base, doc, 0.10, 0.10, false) {
-		t.Errorf("speedup floor enforced without -enforce-speedup; report:\n%s", out.String())
-	}
-	if !strings.Contains(out.String(), "not enforced") {
-		t.Errorf("unenforced floor not called out in report:\n%s", out.String())
-	}
-	out.Reset()
-	if !gate(&out, base, doc, 0.10, 0.10, true) {
-		t.Errorf("2.5x speedup passed a 3.0x floor under -enforce-speedup; report:\n%s", out.String())
-	}
-	for _, want := range []string{"workers=8", "floor", "FAIL"} {
-		if !strings.Contains(out.String(), want) {
-			t.Errorf("speedup failure report missing %q:\n%s", want, out.String())
-		}
-	}
-	// Raise the measured speedup past the floor: the gate passes again.
-	fast := doc.Benchmarks[1]
-	fast.NsPerOp = 300
-	cur := &File{Benchmarks: []Benchmark{doc.Benchmarks[0], fast, doc.Benchmarks[2]}}
-	fillSpeedups(cur)
-	out.Reset()
-	if gate(&out, base, cur, 0.10, 0.10, true) {
-		t.Errorf("3.3x speedup failed a 3.0x floor; report:\n%s", out.String())
 	}
 }
 

@@ -47,7 +47,6 @@ func main() {
 		csvDir  = flag.String("csvdir", "", "also write machine-readable CSVs into this directory")
 		plotDir = flag.String("plotdir", "", "also write gnuplot bundles (.dat + .gp) into this directory")
 
-		parallel    = flag.Int("parallel", 0, "worker count for each cell's sharded fair-order pass, the one parallel scheduling kernel (0/1 = serial; results are bit-identical for every value)")
 		cellTimeout = flag.Duration("cell-timeout", 0, "wall-clock budget per grid cell (0 = unlimited)")
 		retries     = flag.Int("retries", 0, "extra attempts for a failed grid cell")
 		manifestDir = flag.String("manifest", "", "persist completed grid cells here; an interrupted run resumes only the missing ones")
@@ -82,7 +81,6 @@ func main() {
 	}
 	opt.CellTimeout = *cellTimeout
 	opt.CellRetries = *retries
-	opt.SimWorkers = *parallel
 
 	// SIGINT/SIGTERM cancels the grid cooperatively: in-flight cells
 	// stop, completed ones stay in the manifest, and a re-run with the
@@ -162,7 +160,6 @@ func runDaemon(ctx context.Context, c *service.Client, opt experiments.Options) 
 			FleetSeed: opt.Seed,
 			Procs:     opt.NumProcs,
 			Wind:      &service.WindSpec{Seed: opt.Seed + 2, Days: spanDays*2 + 2, MeanFrac: 0.5},
-			Workers:   opt.SimWorkers,
 		}
 		if _, err := c.CreateTenant(ctx, spec); err != nil {
 			return fmt.Errorf("create tenant %q: %w", spec.Name, err)

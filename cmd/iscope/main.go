@@ -61,7 +61,6 @@ type options struct {
 	trace     bool
 	online    bool
 	battery   float64
-	parallel  int
 
 	// Faults section.
 	faults        bool
@@ -115,7 +114,6 @@ func main() {
 	flag.BoolVar(&o.trace, "trace", false, "sample the power trace every 350 s and print it")
 	flag.BoolVar(&o.online, "online", false, "profile opportunistically during the run instead of pre-scanning")
 	flag.Float64Var(&o.battery, "battery", 0, "on-site battery capacity in kWh (0 = none)")
-	flag.IntVar(&o.parallel, "parallel", 0, "worker count for the sharded fair-order pass, the one parallel scheduling kernel (0/1 = serial; results are bit-identical for every value)")
 
 	// Faults: deterministic injection compiled from the master seed.
 	// -faults enables the full default environment; the per-class flags
@@ -271,7 +269,7 @@ func run(ctx context.Context, o options) (err error) {
 		}
 	}
 
-	cfg := iscope.RunConfig{Seed: o.seed, Jobs: tr, Workers: o.parallel, EnableRebalance: o.rebalance}
+	cfg := iscope.RunConfig{Seed: o.seed, Jobs: tr, EnableRebalance: o.rebalance}
 	if o.useWind {
 		w, err := iscope.GenerateWind(o.seed+2, o.spanDays*2+2)
 		if err != nil {
@@ -454,7 +452,6 @@ func runDaemon(ctx context.Context, o options) error {
 		Procs:      o.procs,
 		Brownout:   o.brownout,
 		Invariants: o.invariants,
-		Workers:    o.parallel,
 	}
 	if o.useWind {
 		spec.Wind = &service.WindSpec{Seed: o.seed + 2, Days: o.spanDays*2 + 2, MeanFrac: o.windScale}

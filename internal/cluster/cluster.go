@@ -72,7 +72,7 @@ func (s *Slice) Remaining() float64 { return s.remaining }
 // datacenter's structure-of-arrays state: the mutable fields (running
 // slice, queue, utilization, offline flags) live in flat parallel
 // slices on Datacenter, indexed by ID, so fleet-order walks and the
-// sharded fair pass stream contiguous memory instead of chasing
+// fair pass stream contiguous memory instead of chasing
 // per-processor pointers. The view keeps the familiar accessor API for
 // tests, checkpoint codecs and cold paths.
 type Processor struct {
@@ -179,8 +179,7 @@ func (q *sliceQueue) reset() {
 // held in flat parallel arrays indexed by processor ID (structure of
 // arrays): the hot kernels — utilization fills, availability
 // lookups, running-slice collection, queue estimates — walk these
-// arrays linearly, and the fair pass's shard ranges become contiguous
-// array windows. Processor is a view over the same arrays.
+// arrays linearly. Processor is a view over the same arrays.
 type Datacenter struct {
 	Procs []*Processor
 
@@ -214,9 +213,9 @@ type Datacenter struct {
 
 	// nBusy and nOffline are maintained incrementally at every state
 	// transition so BusyCount/OfflineCount are O(1) — they gate
-	// per-tick decisions (profiling admission, parallel-kernel
-	// heuristics) and an O(procs) scan there is measurable at fleet
-	// scale. RestoreState recomputes them from the overlay.
+	// per-tick decisions (profiling admission) and an O(procs) scan
+	// there is measurable at fleet scale. RestoreState recomputes them
+	// from the overlay.
 	nBusy    int
 	nOffline int
 
@@ -828,11 +827,7 @@ const arenaChunk = 256
 
 // New returns a fresh unstarted slice, equivalent to NewSlice.
 func (a *SliceArena) New(j *workload.Job, procID, level int) *Slice {
-	if len(a.chunk) == cap(a.chunk) {
-		a.chunk = make([]Slice, 0, arenaChunk)
-	}
-	a.chunk = a.chunk[:len(a.chunk)+1]
-	s := &a.chunk[len(a.chunk)-1]
+	s := a.next()
 	*s = Slice{
 		Job:           j,
 		ProcID:        procID,
@@ -841,4 +836,13 @@ func (a *SliceArena) New(j *workload.Job, procID, level int) *Slice {
 		remaining:     1,
 	}
 	return s
+}
+
+// next hands out the next zeroed slot of the current chunk.
+func (a *SliceArena) next() *Slice {
+	if len(a.chunk) == cap(a.chunk) {
+		a.chunk = make([]Slice, 0, arenaChunk)
+	}
+	a.chunk = a.chunk[:len(a.chunk)+1]
+	return &a.chunk[len(a.chunk)-1]
 }

@@ -88,15 +88,32 @@ func (dc *Datacenter) CaptureState(jobRef func(*workload.Job) int) State {
 }
 
 // RestoreState overlays a snapshot onto a freshly built datacenter of
-// the same shape. job resolves the identifiers produced by jobRef at
-// capture time. It returns the rebuilt slices keyed by Serial so the
-// caller can re-attach pending events to them.
-func (dc *Datacenter) RestoreState(st State, job func(int) (*workload.Job, error)) (map[int]*Slice, error) {
+// the same shape. Restored slices come from arena, the run's own, so
+// they are allocated and freed in chunks like live ones. job resolves
+// the identifiers produced by jobRef at capture time. It returns the
+// rebuilt slices keyed by Serial so the caller can re-attach pending
+// events to them.
+//
+// A counting pass sizes the map once, and every queue's window is cut
+// from one shared pointer block at its exact length, capped so that a
+// queue that grows later reallocates instead of writing into its
+// neighbour's window.
+func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*workload.Job, error)) (map[int]*Slice, error) {
 	if len(st.Procs) != len(dc.Procs) {
 		return nil, fmt.Errorf("cluster: snapshot has %d processors, datacenter has %d", len(st.Procs), len(dc.Procs))
 	}
-	slices := make(map[int]*Slice)
-	restore := func(ss SliceState) (*Slice, error) {
+	nSlices, nQueued := 0, 0
+	for i := range st.Procs {
+		ps := &st.Procs[i]
+		if len(ps.Current) > 1 {
+			return nil, fmt.Errorf("cluster: processor %d snapshot has %d running slices", i, len(ps.Current))
+		}
+		nSlices += len(ps.Current) + len(ps.Queue)
+		nQueued += len(ps.Queue)
+	}
+	queued := make([]*Slice, nQueued)
+	slices := make(map[int]*Slice, nSlices)
+	restore := func(ss *SliceState) (*Slice, error) {
 		if _, dup := slices[ss.Serial]; dup {
 			return nil, fmt.Errorf("cluster: snapshot repeats slice serial %d", ss.Serial)
 		}
@@ -104,7 +121,8 @@ func (dc *Datacenter) RestoreState(st State, job func(int) (*workload.Job, error
 		if err != nil {
 			return nil, fmt.Errorf("cluster: slice serial %d: %w", ss.Serial, err)
 		}
-		s := &Slice{
+		s := arena.next()
+		*s = Slice{
 			Job:           j,
 			Serial:        ss.Serial,
 			ProcID:        ss.ProcID,
@@ -121,30 +139,33 @@ func (dc *Datacenter) RestoreState(st State, job func(int) (*workload.Job, error
 		slices[ss.Serial] = s
 		return s, nil
 	}
-	for i, ps := range st.Procs {
+	for i := range st.Procs {
+		ps := &st.Procs[i]
 		dc.utilTime[i] = ps.UtilTime
 		dc.busySince[i] = ps.BusySince
 		dc.backlog[i] = ps.Backlog
 		dc.offline[i] = ps.Offline
 		dc.offlineDraw[i] = ps.OfflineDraw
 		dc.current[i] = nil
-		dc.queues[i].reset()
-		if len(ps.Current) > 1 {
-			return nil, fmt.Errorf("cluster: processor %d snapshot has %d running slices", i, len(ps.Current))
-		}
 		if len(ps.Current) == 1 {
-			s, err := restore(ps.Current[0])
+			s, err := restore(&ps.Current[0])
 			if err != nil {
 				return nil, err
 			}
 			dc.current[i] = s
 		}
-		for _, qs := range ps.Queue {
-			s, err := restore(qs)
+		q := &dc.queues[i]
+		q.reset()
+		if len(ps.Queue) > 0 {
+			n := len(ps.Queue)
+			q.buf, queued = queued[:0:n], queued[n:]
+		}
+		for k := range ps.Queue {
+			s, err := restore(&ps.Queue[k])
 			if err != nil {
 				return nil, err
 			}
-			dc.queues[i].push(s)
+			q.push(s)
 		}
 	}
 	dc.demand = st.Demand

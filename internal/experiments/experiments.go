@@ -11,7 +11,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
 	"runtime/debug"
 	"sort"
 	"sync"
@@ -36,18 +35,8 @@ type Options struct {
 	NumJobs int
 	// SpanDays is the arrival window of the workload.
 	SpanDays float64
-	// Parallelism bounds concurrent simulation runs; 0 = GOMAXPROCS
-	// (divided by SimWorkers when per-run sharding is on, so the two
-	// levels of parallelism don't multiply past the machine).
+	// Parallelism bounds concurrent simulation runs; 0 = GOMAXPROCS.
 	Parallelism int
-	// SimWorkers is the per-run kernel worker count forwarded to
-	// scheduler.RunConfig.Workers for every grid cell whose config does
-	// not set its own: values above one shard each simulation's
-	// fair-order pass across that many workers. Results are
-	// bit-identical for any value; only wall-clock changes. 0 or 1 runs
-	// each cell serially (grid-level fan-out usually saturates the
-	// machine on its own).
-	SimWorkers int
 	// WindScale multiplies the default wind trace after it has been
 	// auto-scaled to the workload's mean demand (see WindToDemandRatio).
 	WindScale float64
@@ -107,23 +96,6 @@ func (o Options) validate() error {
 		return fmt.Errorf("experiments: NumProcs, NumJobs and SpanDays must be positive")
 	}
 	return nil
-}
-
-func (o Options) workers() int {
-	if o.Parallelism > 0 {
-		return o.Parallelism
-	}
-	w := runtime.GOMAXPROCS(0)
-	if o.SimWorkers > 1 {
-		// Each cell already fans out over SimWorkers kernel workers;
-		// running GOMAXPROCS cells on top would oversubscribe the
-		// machine SimWorkers-fold.
-		w /= o.SimWorkers
-	}
-	if w < 1 {
-		w = 1
-	}
-	return w
 }
 
 // buildFleet constructs the shared hardware population.
@@ -300,7 +272,7 @@ func runGrid(fleet *scheduler.Fleet, jobs []runJob, o Options) (map[string]*sche
 		mu   sync.Mutex
 		errs []error
 	)
-	pool.Feed(ctx, pool.Workers(o.workers(), len(pending)), len(pending), func(i int) {
+	pool.Feed(ctx, pool.Workers(o.Parallelism, len(pending)), len(pending), func(i int) {
 		j := pending[i]
 		res, err := runCell(ctx, fleet, j, o)
 		mu.Lock()
@@ -331,11 +303,6 @@ func runGrid(fleet *scheduler.Fleet, jobs []runJob, o Options) (map[string]*sche
 // stream is derived from (seed, cell key), so a re-run of the same
 // grid backs off identically — grid behavior stays reproducible.
 func runCell(ctx context.Context, fleet *scheduler.Fleet, j runJob, o Options) (*scheduler.Result, error) {
-	if o.SimWorkers > 1 && j.cfg.Workers == 0 {
-		// Per-run kernel sharding; never changes results (Workers is
-		// excluded from the checkpoint fingerprint for the same reason).
-		j.cfg.Workers = o.SimWorkers
-	}
 	attempts := o.CellRetries + 1
 	if attempts < 1 {
 		attempts = 1

@@ -3,7 +3,6 @@ package experiments
 import (
 	"bytes"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 )
@@ -370,24 +369,5 @@ func TestPerCoreStudy(t *testing.T) {
 	}
 	if !strings.Contains(buf.String(), "per-core domains") {
 		t.Error("render missing summary")
-	}
-}
-
-// TestSimWorkersGridEquivalence pins the contract that per-run kernel
-// sharding is invisible in results: the same grid run with SimWorkers
-// set must produce byte-identical figures.
-func TestSimWorkersGridEquivalence(t *testing.T) {
-	want, err := Fig5(QuickOptions(1))
-	if err != nil {
-		t.Fatal(err)
-	}
-	o := QuickOptions(1)
-	o.SimWorkers = 4
-	got, err := Fig5(o)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(want, got) {
-		t.Fatalf("Fig5 with SimWorkers=4 diverged from serial:\nserial %+v\nsharded %+v", want, got)
 	}
 }

@@ -7,9 +7,8 @@
 //
 // This is deliberately the *coarse* pool: items are independent and
 // arbitrarily sized, order of execution does not matter, and results
-// are collected by the caller under its own lock. The scheduler's
-// sharded fair-order pass uses internal/shard instead, where work
-// assignment must be deterministic.
+// are collected by the caller under its own lock. A single simulation
+// runs on one goroutine; parallelism lives between independent runs.
 package pool
 
 import (

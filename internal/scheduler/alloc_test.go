@@ -1,7 +1,6 @@
 package scheduler
 
 import (
-	"fmt"
 	"runtime"
 	"slices"
 	"testing"
@@ -10,19 +9,11 @@ import (
 	"iscope/internal/units"
 )
 
-// allocWorkers is the worker-count sweep of the steady-state guards:
-// one worker is the inline single-shard pool every serial run uses, the
-// others are the counts the benchmarks measure. The fair-order shards
-// are per worker, so a hidden allocation in the pass would scale with
-// the fleet at exactly these counts.
-var allocWorkers = []int{1, 2, 4, 8}
-
-// warmSim builds a mid-simulation sim on a kernel pool of the given
-// width by stepping the event loop until roughly half the jobs have
-// finished, so the scratch buffers and fair-order shards have reached their
-// steady-state capacities and the hot paths can be measured in a
-// representative state.
-func warmSim(t *testing.T, workers int) *sim {
+// warmSim builds a mid-simulation sim by stepping the event loop until
+// roughly half the jobs have finished, so the scratch buffers and the
+// fair-order lists have reached their steady-state capacities and the
+// hot paths can be measured in a representative state.
+func warmSim(t *testing.T) *sim {
 	t.Helper()
 	fleet := testFleet(t, 16)
 	jobs := testJobs(t, 42, 40, 0.3)
@@ -31,12 +22,11 @@ func warmSim(t *testing.T, workers int) *sim {
 	if !ok {
 		t.Fatal("ScanFair scheme missing")
 	}
-	cfg := RunConfig{Seed: 1, Jobs: jobs, Wind: w, EnableRebalance: true, Workers: workers}
+	cfg := RunConfig{Seed: 1, Jobs: jobs, Wind: w, EnableRebalance: true}
 	s, err := newSim(fleet, sch, cfg, false)
 	if err != nil {
 		t.Fatalf("newSim: %v", err)
 	}
-	t.Cleanup(s.close)
 	half := len(cfg.Jobs.Jobs) / 2
 	for s.jobsLeft > half {
 		if !s.eng.Step() {
@@ -67,8 +57,7 @@ type allocKernel struct {
 // allocKernels lists the per-event kernels of a warm sim: placement,
 // both directions of the matching sort, rebalance, the end-of-run
 // statistics, and the fair and efficiency orders' refresh paths. The
-// kernels reuse sim-owned scratch and the fair pass binds its kernel at
-// construction, so once warm they must not allocate.
+// kernels reuse sim-owned scratch, so once warm they must not allocate.
 func allocKernels(s *sim) []allocKernel {
 	now := s.eng.Now()
 	j := s.states[len(s.states)-1].job
@@ -102,160 +91,149 @@ func allocKernels(s *sim) []allocKernel {
 	}
 }
 
-// measureKernels warms a sim on a kernel pool of the given width and
-// measures the named kernels of allocKernels, or all of them when no
-// name is given.
-func measureKernels(t *testing.T, workers int, names ...string) {
+// measureKernels warms a sim and measures the named kernels of
+// allocKernels.
+func measureKernels(t *testing.T, names ...string) {
 	t.Helper()
-	s := warmSim(t, workers)
+	s := warmSim(t)
 	for _, k := range allocKernels(s) {
-		if len(names) == 0 || slices.Contains(names, k.name) {
+		if slices.Contains(names, k.name) {
 			measure(t, k.name, k.fn)
 		}
 	}
 }
 
-// The serial guards below pin each kernel on the one-worker pool every
-// serial run uses (each kernel inline over the single shard).
-
 func TestSelectProcsAllocFree(t *testing.T) {
-	measureKernels(t, 1, "selectProcs")
+	measureKernels(t, "selectProcs")
 }
 
 func TestMatchAllocFree(t *testing.T) {
-	measureKernels(t, 1, "match(deficit)", "match(surplus)")
+	measureKernels(t, "match(deficit)", "match(surplus)")
 }
 
 func TestRebalanceAllocFree(t *testing.T) {
-	measureKernels(t, 1, "rebalance")
+	measureKernels(t, "rebalance")
 }
 
 func TestQualityMetricsAllocFree(t *testing.T) {
-	measureKernels(t, 1, "qualityMetrics")
+	measureKernels(t, "qualityMetrics")
 }
 
 // TestLeastUsedOrderAllocFree pins the fair order's refresh path, the
 // single hottest sort in the profile of the seed implementation, and
 // the efficiency order's re-sort, the other static-order hot path.
 func TestLeastUsedOrderAllocFree(t *testing.T) {
-	measureKernels(t, 1, "leastUsedOrder", "refreshEffOrder")
+	measureKernels(t, "leastUsedOrder", "refreshEffOrder")
 }
 
-// TestParallelKernelsAllocFree pins every kernel at the multi-worker
-// counts of the sweep; the serial guards above cover one worker.
-func TestParallelKernelsAllocFree(t *testing.T) {
-	for _, workers := range allocWorkers {
-		if workers == 1 {
-			continue
-		}
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			measureKernels(t, workers)
-		})
-	}
-}
-
-// TestParallelIncrementalRepairAllocFree pins the dirty-set repair
-// paths the incremental order maintenance runs between full rebuilds: a
-// fair order repaired around one dirtied processor, an efficiency
+// TestFairRepairAllocFree pins the dirty-set repair paths the
+// incremental order maintenance runs between full rebuilds: a fair
+// order repaired around one dirtied processor, an efficiency
 // order repaired around one re-ranked chip, and a slack order
 // re-derived across a deficit/surplus direction flip. Each is the
 // steady-state fast path at million-processor scale, so per-call
 // growth here is a scaling regression even when the full rebuilds stay
 // clean.
-func TestParallelIncrementalRepairAllocFree(t *testing.T) {
-	for _, workers := range allocWorkers {
-		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
-			s := warmSim(t, workers)
-			// The warmup may have stopped at an instant where every
-			// processor is between slices; step until one is busy so the
-			// preempt cycle below has a target.
-			busy := -1
-			for busy < 0 {
-				for i := range s.dc.Procs {
-					if s.dc.IsBusy(i) {
-						busy = i
-						break
-					}
-				}
-				if busy < 0 && !s.eng.Step() {
-					t.Fatal("event queue drained before any processor went busy")
-				}
+func TestFairRepairAllocFree(t *testing.T) {
+	s := warmSim(t)
+	// The warmup may have stopped at an instant where every
+	// processor is between slices; step until one is busy so the
+	// preempt cycle below has a target.
+	busy := -1
+	for busy < 0 {
+		for i := range s.dc.Procs {
+			if s.dc.IsBusy(i) {
+				busy = i
+				break
 			}
-			now := s.eng.Now()
-			fairRepair := func() {
-				// The same-instant preempt/enqueue round-trip leaves the
-				// cluster unchanged but fair-dirties one processor, so
-				// every call drives one shard through repairShard while
-				// any others take the clean fast path.
-				if sl := s.dc.Preempt(busy, now); sl != nil {
-					s.dc.Enqueue(sl, now)
-				}
-				s.fairValid = false
-				_ = s.leastUsedOrder(now)
-			}
-			fairRepair() // warm: the full shard rebuild sizes the lists
-			fairRepair() // warm: the first repair sizes the patch scratch
-			measure(t, "fairPass(repair)", fairRepair)
-
-			effRepair := func() {
-				s.markEffDirty(3)
-				s.refreshEffOrder()
-			}
-			effRepair()
-			effRepair()
-			measure(t, "repairEffOrder", effRepair)
-
-			slackFlip := func() {
-				_ = s.sortRunningBySlack(now, true)
-				_ = s.sortRunningBySlack(now, false)
-			}
-			slackFlip()
-			slackFlip()
-			measure(t, "sortRunningBySlack(flip)", slackFlip)
-		})
+		}
+		if busy < 0 && !s.eng.Step() {
+			t.Fatal("event queue drained before any processor went busy")
+		}
 	}
+	now := s.eng.Now()
+	fairRepair := func() {
+		// The same-instant preempt/enqueue round-trip leaves the
+		// cluster unchanged but fair-dirties one processor, so
+		// every call drives the lists through repair.
+		if sl := s.dc.Preempt(busy, now); sl != nil {
+			s.dc.Enqueue(sl, now)
+		}
+		s.fairValid = false
+		_ = s.leastUsedOrder(now)
+	}
+	fairRepair() // warm: the full rebuild sizes the lists
+	fairRepair() // warm: the first repair sizes the patch scratch
+	measure(t, "fairPass(repair)", fairRepair)
+
+	effRepair := func() {
+		s.markEffDirty(3)
+		s.refreshEffOrder()
+	}
+	effRepair()
+	effRepair()
+	measure(t, "repairEffOrder", effRepair)
+
+	slackFlip := func() {
+		_ = s.sortRunningBySlack(now, true)
+		_ = s.sortRunningBySlack(now, false)
+	}
+	slackFlip()
+	slackFlip()
+	measure(t, "sortRunningBySlack(flip)", slackFlip)
 }
 
-// TestKernelPoolGoroutines pins the pool's goroutine budget. Every
-// optimized run — every daemon tenant included — builds a kernel pool,
-// so the one-worker pool must own no goroutines, and a wider pool must
-// hand all of its workers back on close.
-func TestKernelPoolGoroutines(t *testing.T) {
+// TestRunStartsNoGoroutines pins that a simulation runs on its
+// caller's goroutine alone, whatever the ignored Workers field says:
+// the goroutine count holds across newSim, across a full Run (sampled
+// at every checkpoint, mid-run), and across NewStepper and Close.
+func TestRunStartsNoGoroutines(t *testing.T) {
 	fleet := testFleet(t, 16)
 	jobs := testJobs(t, 42, 40, 0.3)
+	w := testWind(t, fleet, 300)
 	sch, ok := SchemeByName("ScanFair")
 	if !ok {
 		t.Fatal("ScanFair scheme missing")
 	}
-	build := func(workers int) *sim {
-		t.Helper()
-		s, err := newSim(fleet, sch, RunConfig{Seed: 1, Jobs: jobs, Workers: workers}, false)
-		if err != nil {
+	// Goroutines of earlier tests may still be winding down; count
+	// from a settled baseline.
+	base := settledGoroutines()
+	for _, workers := range []int{0, 1, 8} {
+		cfg := RunConfig{Seed: 1, Jobs: jobs, Wind: w, EnableRebalance: true, Workers: workers}
+		if _, err := newSim(fleet, sch, cfg, false); err != nil {
 			t.Fatalf("newSim(workers=%d): %v", workers, err)
 		}
-		return s
-	}
-	// Pools closed by earlier tests release their workers
-	// asynchronously; count from a settled baseline.
-	base := settledGoroutines()
-	for _, workers := range []int{0, 1} {
-		s := build(workers)
 		if got := runtime.NumGoroutine(); got != base {
-			t.Errorf("newSim(workers=%d) left %d goroutines, want %d (none started)", workers, got, base)
+			t.Errorf("newSim(workers=%d) left %d goroutines, want %d", workers, got, base)
 		}
-		s.close()
-	}
-	s := build(4)
-	if got := runtime.NumGoroutine(); got != base+3 {
-		t.Errorf("newSim(workers=4) left %d goroutines, want %d (three pool workers)", got, base+3)
-	}
-	s.close()
-	deadline := time.Now().Add(5 * time.Second)
-	for runtime.NumGoroutine() > base && time.Now().Before(deadline) {
-		time.Sleep(time.Millisecond)
-	}
-	if got := runtime.NumGoroutine(); got != base {
-		t.Errorf("close(workers=4) left %d goroutines, want %d", got, base)
+
+		mid := -1
+		run := cfg
+		run.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: func([]byte) error {
+			mid = max(mid, runtime.NumGoroutine())
+			return nil
+		}}
+		if _, err := Run(fleet, sch, run); err != nil {
+			t.Fatalf("Run(workers=%d): %v", workers, err)
+		}
+		if mid < 0 {
+			t.Fatalf("Run(workers=%d) emitted no checkpoint to sample at", workers)
+		}
+		if got := runtime.NumGoroutine(); mid != base || got != base {
+			t.Errorf("Run(workers=%d) ran at up to %d goroutines and left %d, want %d", workers, mid, got, base)
+		}
+
+		st, err := NewStepper(fleet, sch, cfg)
+		if err != nil {
+			t.Fatalf("NewStepper(workers=%d): %v", workers, err)
+		}
+		if got := runtime.NumGoroutine(); got != base {
+			t.Errorf("NewStepper(workers=%d) left %d goroutines, want %d", workers, got, base)
+		}
+		st.Close()
+		if got := runtime.NumGoroutine(); got != base {
+			t.Errorf("Stepper.Close(workers=%d) left %d goroutines, want %d", workers, got, base)
+		}
 	}
 }
 
@@ -279,7 +257,7 @@ func settledGoroutines() int {
 // reuses pooled nodes). The engine-internal batch buffer is guarded
 // separately in internal/simulator.
 func TestBatchDispatchAllocFree(t *testing.T) {
-	s := warmSim(t, 4)
+	s := warmSim(t)
 	// Steady state: each call fires at most one same-timestamp batch.
 	// The warm sim still has half its jobs queued, so the queue cannot
 	// drain inside the 101 measured calls (each batch is bounded by
@@ -298,7 +276,7 @@ func TestBatchDispatchAllocFree(t *testing.T) {
 // TestUtilTimesIntoNoEscape guards the reused-buffer form of
 // UtilTimes: filling it must not allocate.
 func TestUtilTimesIntoNoEscape(t *testing.T) {
-	s := warmSim(t, 1)
+	s := warmSim(t)
 	now := s.eng.Now()
 	buf := make([]units.Seconds, 0, len(s.dc.Procs))
 	measure(t, "UtilTimesInto", func() {

@@ -267,9 +267,9 @@ func (h *runHash) value(v reflect.Value) {
 // hashConfig starts a run hash over every RunConfig field except the
 // job set, which the caller appends. Checkpoint and Resume are
 // excluded: where and how often a run snapshots does not change what it
-// computes. Workers and the test-only naive switch are excluded for
-// the same reason: execution tiers never change results, so a
-// checkpoint taken at one worker count must resume at any other. A
+// computes. The ignored Workers field and the test-only naive switch
+// are excluded for the same reason, so a checkpoint taken under one
+// value of either resumes under any other. A
 // disabled telemetry spec constructs no state and perturbs no
 // decision, so it hashes like no spec, which keeps its checkpoints
 // interchangeable with the oracle path's.
@@ -513,7 +513,7 @@ func (s *sim) restore(data []byte) error {
 	}
 	s.profilesDirty = snap.ProfilesDirty
 
-	slices, err := s.dc.RestoreState(snap.Cluster, func(ref int) (*workload.Job, error) {
+	slices, err := s.dc.RestoreState(snap.Cluster, &s.arena, func(ref int) (*workload.Job, error) {
 		if ref < 0 || ref >= len(s.states) {
 			return nil, fmt.Errorf("job ref %d out of range", ref)
 		}
@@ -550,8 +550,8 @@ func (s *sim) restore(data []byte) error {
 	// The snapshot carries dirty *flags* but not the dirty id sets the
 	// incremental order repairs consume, so every retained order cache
 	// is stale: force full rebuilds on first use. (RestoreState already
-	// raised the cluster's fair-dirty overflow, which rebuilds every fair
-	// shard; these cover the scheduler-side efficiency and slack caches.)
+	// raised the cluster's fair-dirty overflow, which rebuilds the fair
+	// order; these cover the scheduler-side efficiency and slack caches.)
 	s.effCacheOK = false
 	s.resetEffDirty()
 

@@ -84,15 +84,24 @@ func TestResumeDeterminism(t *testing.T) {
 // TestResumeDeterminismKitchenSink exercises every optional subsystem
 // at once — battery, sampler trace, online profiling, rebalancing,
 // random COPs, faults, the brownout ladder, and a fail-fast invariant
-// monitor — and still demands bit-identical resume. The monitor's
-// check/violation counters land in the Result, so DeepEqual also
-// proves the restored monitor replays exactly.
+// monitor — and still demands bit-identical resume, under the
+// efficiency order and under ScanFair's least-used order. The
+// monitor's check/violation counters land in the Result, so DeepEqual
+// also proves the restored monitor replays exactly.
 func TestResumeDeterminismKitchenSink(t *testing.T) {
+	for _, name := range []string{"ScanEffi", "ScanFair"} {
+		t.Run(name, func(t *testing.T) {
+			sch, _ := SchemeByName(name)
+			checkKitchenSinkResume(t, sch)
+		})
+	}
+}
+
+func checkKitchenSinkResume(t *testing.T, sch Scheme) {
 	fleet := testFleet(t, 24)
 	jobs := testJobs(t, 77, 60, 0.4)
 	w := testWind(t, fleet, 400)
 	batt := battery.DefaultSpec(units.FromKWh(30))
-	sch, _ := SchemeByName("ScanEffi")
 	base := RunConfig{
 		Seed:            5,
 		Jobs:            jobs,
@@ -352,7 +361,6 @@ func TestCheckpointOmitsTraceInputs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		st.Seal()
 		batchTo(t, st, last.Submit/2)
 		snap, err := st.Snapshot()

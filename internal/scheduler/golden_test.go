@@ -76,7 +76,6 @@ func TestCheckpointDigestsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		st.Seal()
 		batchTo(t, st, digestSnapInstant)
 		snap, err := st.Snapshot()
@@ -136,7 +135,6 @@ func TestCheckpointDigestsGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		next := feed(t, st, jobs.Jobs, digestSnapInstant)
 		batchTo(t, st, digestSnapInstant)
 		snap, err := st.Snapshot()

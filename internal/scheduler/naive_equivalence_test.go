@@ -24,20 +24,16 @@ func gobBytes(t *testing.T, v any) []byte {
 }
 
 // TestOptimizedMatchesNaiveReference is the equivalence tentpole for
-// the allocation-free optimized kernels: for
-// every scheme, several seeds, and every worker count in {1, 2, 4, 8}
-// — plain, under dense fault injection, and with the brownout ladder,
-// battery, sampler, online profiling and rebalancing all engaged — the
+// the allocation-free optimized kernels: for every scheme and several
+// seeds — plain, under dense fault injection, and with the brownout
+// ladder, battery, sampler, online profiling and rebalancing all
+// engaged — the
 // optimized scheduler must produce a Result byte-identical to the
 // retained seed implementation (RunConfig.naive), and every checkpoint
 // the runs emit must match byte-for-byte as well. The naive side
 // also runs with the power-memoization cache disabled, so a missing
 // cache invalidation shows up here as a divergence instead of being
-// masked by both sides caching the same stale value. Worker counts
-// above the 16-processor test fleet's shard capacity and above the
-// machine's core count are both exercised implicitly (8 workers on a
-// 1-core runner degenerates to heavy interleaving, which is exactly
-// the timing chaos determinism must survive).
+// masked by both sides caching the same stale value.
 func TestOptimizedMatchesNaiveReference(t *testing.T) {
 	fleet := testFleet(t, 16)
 	jobs := testJobs(t, 42, 40, 0.3)
@@ -86,29 +82,26 @@ func TestOptimizedMatchesNaiveReference(t *testing.T) {
 						t.Fatalf("seed %d %s: naive run emitted no checkpoints", seed, sch.Name)
 					}
 
-					for _, workers := range []int{1, 2, 4, 8} {
-						optCol := &snapCollector{}
-						opt := base
-						opt.Workers = workers
-						opt.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: optCol.sink}
-						got, err := Run(fleet, sch, opt)
-						if err != nil {
-							t.Fatalf("seed %d %s workers=%d: optimized run: %v", seed, sch.Name, workers, err)
-						}
+					optCol := &snapCollector{}
+					opt := base
+					opt.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: optCol.sink}
+					got, err := Run(fleet, sch, opt)
+					if err != nil {
+						t.Fatalf("seed %d %s: optimized run: %v", seed, sch.Name, err)
+					}
 
-						if !reflect.DeepEqual(want, got) {
-							t.Fatalf("seed %d %s workers=%d: optimized result diverged from naive reference:\nnaive     %+v\noptimized %+v", seed, sch.Name, workers, want, got)
-						}
-						if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-							t.Fatalf("seed %d %s workers=%d: results DeepEqual but encode differently", seed, sch.Name, workers)
-						}
-						if len(refCol.snaps) != len(optCol.snaps) {
-							t.Fatalf("seed %d %s workers=%d: naive emitted %d checkpoints, optimized %d", seed, sch.Name, workers, len(refCol.snaps), len(optCol.snaps))
-						}
-						for i := range refCol.snaps {
-							if !bytes.Equal(refCol.snaps[i], optCol.snaps[i]) {
-								t.Fatalf("seed %d %s workers=%d: checkpoint %d/%d differs between naive and optimized runs", seed, sch.Name, workers, i+1, len(refCol.snaps))
-							}
+					if !reflect.DeepEqual(want, got) {
+						t.Fatalf("seed %d %s: optimized result diverged from naive reference:\nnaive     %+v\noptimized %+v", seed, sch.Name, want, got)
+					}
+					if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
+						t.Fatalf("seed %d %s: results DeepEqual but encode differently", seed, sch.Name)
+					}
+					if len(refCol.snaps) != len(optCol.snaps) {
+						t.Fatalf("seed %d %s: naive emitted %d checkpoints, optimized %d", seed, sch.Name, len(refCol.snaps), len(optCol.snaps))
+					}
+					for i := range refCol.snaps {
+						if !bytes.Equal(refCol.snaps[i], optCol.snaps[i]) {
+							t.Fatalf("seed %d %s: checkpoint %d/%d differs between naive and optimized runs", seed, sch.Name, i+1, len(refCol.snaps))
 						}
 					}
 				}

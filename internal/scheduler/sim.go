@@ -112,17 +112,10 @@ type RunConfig struct {
 	// identical configuration; the run continues from the captured time
 	// and finishes with results bit-identical to the uninterrupted run.
 	Resume []byte
-	// Workers is the width of the pool the one sharded scheduling
-	// kernel — the fair policy's least-used order pass — runs on; every
-	// other kernel runs serially on the event goroutine. 0 and 1 both
-	// mean one worker: the pass runs inline over a single shard, and no
-	// goroutine is started. Shard boundaries are pure functions of the
-	// fleet size and this count — never goroutine timing — and the
-	// shards merge under a strict total order, so results and
-	// checkpoint bytes are bit-identical for every value of Workers;
-	// only wall-clock time changes. Like naive, it is excluded from
-	// the config hash: a checkpoint taken at one worker count resumes at
-	// any other.
+	// Workers is ignored: every kernel runs on the event goroutine. The
+	// repository benchmark still sets it, so it stays until a change to
+	// that benchmark deletes it. Negative values are refused as before,
+	// and like naive it is excluded from the config hash.
 	Workers int
 
 	// naive switches the scheduler's hot paths to the retained reference
@@ -389,12 +382,10 @@ type sim struct {
 	runKeys2   []runKey
 	runSorted2 []*cluster.Slice
 
-	// par runs the sharded fair-order pass (see parallel.go) on a pool
-	// of max(1, Workers) workers; a one-worker pool runs it inline over
-	// a single shard. nil only in naive mode. It holds derived caches
-	// and the worker pool — never simulation state — so checkpoints
-	// ignore it entirely.
-	par *parState
+	// fair is the retained least-used order (see fair.go); naive mode
+	// leaves it unused. It holds derived caches, never simulation
+	// state, so checkpoints ignore it entirely.
+	fair fairState
 }
 
 type procAvail struct {
@@ -463,7 +454,6 @@ func RunCtx(ctx context.Context, fleet *Fleet, scheme Scheme, cfg RunConfig) (*R
 	if err != nil {
 		return nil, err
 	}
-	defer st.Close()
 	for st.s.jobsLeft > 0 {
 		if err := ctx.Err(); err != nil {
 			// Flush a final snapshot so the interrupted work is resumable.
@@ -721,13 +711,6 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 	}
 
 	s.batchHalt = func() bool { return (!s.open && s.jobsLeft == 0) || s.invErr != nil }
-
-	// The kernel pool attaches last, after every error return: a failed
-	// construction must not leak worker goroutines. Naive mode keeps its
-	// reference fair order — the oracle the sharded one is tested against.
-	if !cfg.naive {
-		s.par = newParState(s, max(1, cfg.Workers))
-	}
 
 	return s, nil
 }
@@ -1279,9 +1262,9 @@ func (s *sim) windAbundant() bool {
 
 // leastUsedOrder sorts processors by accumulated utilization time
 // ascending ("historically least-used CPUs"), cached per event time.
-// The order is maintained incrementally per shard and materialized
-// lazily: ensureFairPass refreshes the retained sorted sources, and
-// parExtendFair streams their merge into fairOrder on demand. This
+// The order is maintained incrementally and materialized lazily:
+// ensureFairPass refreshes the retained sorted sources, and
+// extendFair streams their merge into fairOrder on demand. This
 // function is the materialize-everything entry point; selectProcs goes
 // through candidateIter instead and pulls only the prefix it consumes.
 // Every emission follows the identical (utilization, id) strict total
@@ -1292,15 +1275,25 @@ func (s *sim) leastUsedOrder(now units.Seconds) []int {
 		return s.naiveLeastUsedOrder(now)
 	}
 	s.ensureFairPass(now)
-	for s.par.parExtendFair() {
+	for s.extendFair() {
 	}
 	return s.fairOrder
 }
 
+// extendFair appends the pass's next processor to the fairOrder memo;
+// false once the pass is exhausted.
+func (s *sim) extendFair() bool {
+	id, ok := s.fair.next(s.dc)
+	if ok {
+		s.fairOrder = append(s.fairOrder, id)
+	}
+	return ok
+}
+
 // ensureFairPass begins a fair-order pass for the given instant unless
 // the current one is still valid. The pass folds the cluster's dirty
-// feed into the shards' retained lists and freezes their fairVer
-// validity stamps (see parState.fairPass). Idle keys live in the lists,
+// feed into the retained lists and freezes their fairVer validity
+// stamps (see fairState.pass). Idle keys live in the lists,
 // but a busy key is computed from the cluster's utilTime and busySince
 // only when emission reaches it, so the emitted order is exact only
 // while the cluster holds still. It does: a pass is consumed by a single
@@ -1312,8 +1305,11 @@ func (s *sim) ensureFairPass(now units.Seconds) {
 	if s.fairValid && s.fairOrderAt == now {
 		return
 	}
+	if s.fairOrder == nil {
+		s.fairOrder = make([]int, 0, len(s.dc.Procs))
+	}
 	dirty, overflow := s.dc.FairDirty()
-	s.par.fairPass(now, dirty, overflow)
+	s.fair.pass(s.dc, now, dirty, overflow)
 	s.dc.ResetFairDirty()
 	s.fairOrderAt = now
 	s.fairValid = true
@@ -1352,7 +1348,7 @@ func (it *candIter) next() (int, bool) {
 	}
 	s := it.s
 	for it.pos >= len(s.fairOrder) {
-		if !s.par.parExtendFair() {
+		if !s.extendFair() {
 			return 0, false
 		}
 	}

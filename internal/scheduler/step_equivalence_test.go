@@ -56,10 +56,10 @@ func logicalSnapshot(t *testing.T, data []byte, trace []workload.Job) []byte {
 }
 
 // TestStepLoopMatchesBatchRun is the tentpole property suite for the
-// step primitives: over every scheme, three seeds, the {plain, dense
-// faults, brownout kitchen-sink} variants, and Workers in {1, 4}, a
-// batch Run with periodic checkpoints is compared bit-for-bit against
-// two step-driven executions:
+// step primitives: over every scheme, three seeds and the {plain,
+// dense faults, brownout kitchen-sink, telemetry} variants, a batch Run
+// with periodic checkpoints is compared bit-for-bit against two
+// step-driven executions:
 //
 //  1. sealed-from-start: NewStepper over the full trace, Seal, drain —
 //     the streaming entry point degenerating to batch;
@@ -133,118 +133,105 @@ func TestStepLoopMatchesBatchRun(t *testing.T) {
 			for _, seed := range testgrid.Seeds() {
 				w := testWind(t, fleet, 500+seed)
 				for _, sch := range Schemes() {
-					// FairPolicy schemes drive the sharded lazy fair
-					// order, whose shard boundaries move with the worker
-					// count — those cells sweep every committed count.
-					// The other policies run no sharded kernel, so two
-					// counts bound the runtime.
-					workerSweep := []int{1, 4}
-					if sch.Policy == FairPolicy {
-						workerSweep = []int{1, 2, 4, 8}
+					base := RunConfig{Seed: seed, Jobs: jobs, Wind: w}
+					v.mutate(&base)
+
+					batchCol := &snapCollector{}
+					batchCfg := base
+					batchCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: batchCol.sink}
+					want, err := Run(fleet, sch, batchCfg)
+					if err != nil {
+						t.Fatalf("seed %d %s: batch run: %v", seed, sch.Name, err)
 					}
-					for _, workers := range workerSweep {
-						base := RunConfig{Seed: seed, Jobs: jobs, Wind: w, Workers: workers}
-						v.mutate(&base)
+					if len(batchCol.snaps) == 0 {
+						t.Fatalf("seed %d %s: batch run emitted no checkpoints", seed, sch.Name)
+					}
 
-						batchCol := &snapCollector{}
-						batchCfg := base
-						batchCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: batchCol.sink}
-						want, err := Run(fleet, sch, batchCfg)
+					// same compares a stepper's snapshot with the batch
+					// run's: byte-for-byte when the stepper was configured
+					// with the whole trace, in logical form otherwise.
+					same := func(trace []workload.Job, got, want []byte) bool {
+						if len(trace) == len(jobs.Jobs) {
+							return bytes.Equal(got, want)
+						}
+						return bytes.Equal(logicalSnapshot(t, got, trace), logicalSnapshot(t, want, jobs.Jobs))
+					}
+					check := func(mode string, st *Stepper, trace []workload.Job, col *snapCollector) []byte {
+						t.Helper()
+						drain(t, st)
+						if !st.Finished() {
+							t.Fatalf("seed %d %s %s: drained without finishing", seed, sch.Name, mode)
+						}
+						snap, err := st.Snapshot()
 						if err != nil {
-							t.Fatalf("seed %d %s workers=%d: batch run: %v", seed, sch.Name, workers, err)
+							t.Fatalf("seed %d %s %s: final snapshot: %v", seed, sch.Name, mode, err)
 						}
-						if len(batchCol.snaps) == 0 {
-							t.Fatalf("seed %d %s workers=%d: batch run emitted no checkpoints", seed, sch.Name, workers)
-						}
-
-						// same compares a stepper's snapshot with the batch
-						// run's: byte-for-byte when the stepper was configured
-						// with the whole trace, in logical form otherwise.
-						same := func(trace []workload.Job, got, want []byte) bool {
-							if len(trace) == len(jobs.Jobs) {
-								return bytes.Equal(got, want)
-							}
-							return bytes.Equal(logicalSnapshot(t, got, trace), logicalSnapshot(t, want, jobs.Jobs))
-						}
-						check := func(mode string, st *Stepper, trace []workload.Job, col *snapCollector) []byte {
-							t.Helper()
-							drain(t, st)
-							if !st.Finished() {
-								t.Fatalf("seed %d %s workers=%d %s: drained without finishing", seed, sch.Name, workers, mode)
-							}
-							snap, err := st.Snapshot()
-							if err != nil {
-								t.Fatalf("seed %d %s workers=%d %s: final snapshot: %v", seed, sch.Name, workers, mode, err)
-							}
-							got, err := st.Result()
-							if err != nil {
-								t.Fatalf("seed %d %s workers=%d %s: result: %v", seed, sch.Name, workers, mode, err)
-							}
-							if !reflect.DeepEqual(want, got) {
-								t.Fatalf("seed %d %s workers=%d %s: result diverged from batch Run:\nbatch %+v\nstep  %+v",
-									seed, sch.Name, workers, mode, want, got)
-							}
-							if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-								t.Fatalf("seed %d %s workers=%d %s: results DeepEqual but encode differently", seed, sch.Name, workers, mode)
-							}
-							if len(col.snaps) != len(batchCol.snaps) {
-								t.Fatalf("seed %d %s workers=%d %s: %d checkpoints, batch emitted %d",
-									seed, sch.Name, workers, mode, len(col.snaps), len(batchCol.snaps))
-							}
-							for i := range col.snaps {
-								if !same(trace, col.snaps[i], batchCol.snaps[i]) {
-									t.Fatalf("seed %d %s workers=%d %s: checkpoint %d/%d differs from batch",
-										seed, sch.Name, workers, mode, i+1, len(col.snaps))
-								}
-							}
-							return snap
-						}
-
-						// Sealed from the start: streaming path, batch semantics.
-						sealedCol := &snapCollector{}
-						sealedCfg := base
-						sealedCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: sealedCol.sink}
-						sealed, err := NewStepper(fleet, sch, sealedCfg)
+						got, err := st.Result()
 						if err != nil {
-							t.Fatalf("seed %d %s workers=%d: NewStepper(sealed): %v", seed, sch.Name, workers, err)
+							t.Fatalf("seed %d %s %s: result: %v", seed, sch.Name, mode, err)
 						}
-						sealed.Seal()
-						sealedSnap := check("sealed", sealed, jobs.Jobs, sealedCol)
-						sealed.Close()
+						if !reflect.DeepEqual(want, got) {
+							t.Fatalf("seed %d %s %s: result diverged from batch Run:\nbatch %+v\nstep  %+v",
+								seed, sch.Name, mode, want, got)
+						}
+						if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
+							t.Fatalf("seed %d %s %s: results DeepEqual but encode differently", seed, sch.Name, mode)
+						}
+						if len(col.snaps) != len(batchCol.snaps) {
+							t.Fatalf("seed %d %s %s: %d checkpoints, batch emitted %d",
+								seed, sch.Name, mode, len(col.snaps), len(batchCol.snaps))
+						}
+						for i := range col.snaps {
+							if !same(trace, col.snaps[i], batchCol.snaps[i]) {
+								t.Fatalf("seed %d %s %s: checkpoint %d/%d differs from batch",
+									seed, sch.Name, mode, i+1, len(col.snaps))
+							}
+						}
+						return snap
+					}
 
-						// Mid-run injection of the trace tail.
-						injCol := &snapCollector{}
-						injCfg := base
-						injCfg.Jobs = head
-						injCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: injCol.sink}
-						inj, err := NewStepper(fleet, sch, injCfg)
+					// Sealed from the start: streaming path, batch semantics.
+					sealedCol := &snapCollector{}
+					sealedCfg := base
+					sealedCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: sealedCol.sink}
+					sealed, err := NewStepper(fleet, sch, sealedCfg)
+					if err != nil {
+						t.Fatalf("seed %d %s: NewStepper(sealed): %v", seed, sch.Name, err)
+					}
+					sealed.Seal()
+					sealedSnap := check("sealed", sealed, jobs.Jobs, sealedCol)
+
+					// Mid-run injection of the trace tail.
+					injCol := &snapCollector{}
+					injCfg := base
+					injCfg.Jobs = head
+					injCfg.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: injCol.sink}
+					inj, err := NewStepper(fleet, sch, injCfg)
+					if err != nil {
+						t.Fatalf("seed %d %s: NewStepper(inject): %v", seed, sch.Name, err)
+					}
+					if _, err := inj.AdvanceTo(cut); err != nil {
+						t.Fatalf("seed %d %s: AdvanceTo(%v): %v", seed, sch.Name, cut, err)
+					}
+					if now := inj.Now(); now > cut {
+						t.Fatalf("seed %d %s: AdvanceTo overshot to %v", seed, sch.Name, now)
+					}
+					for i, j := range tail {
+						idx, err := inj.InjectJob(j.Submit, j)
 						if err != nil {
-							t.Fatalf("seed %d %s workers=%d: NewStepper(inject): %v", seed, sch.Name, workers, err)
+							t.Fatalf("seed %d %s: InjectJob(tail %d): %v", seed, sch.Name, i, err)
 						}
-						if _, err := inj.AdvanceTo(cut); err != nil {
-							t.Fatalf("seed %d %s workers=%d: AdvanceTo(%v): %v", seed, sch.Name, workers, cut, err)
+						if idx != split+i {
+							t.Fatalf("seed %d %s: tail job %d landed at index %d, want %d",
+								seed, sch.Name, i, idx, split+i)
 						}
-						if now := inj.Now(); now > cut {
-							t.Fatalf("seed %d %s workers=%d: AdvanceTo overshot to %v", seed, sch.Name, workers, now)
-						}
-						for i, j := range tail {
-							idx, err := inj.InjectJob(j.Submit, j)
-							if err != nil {
-								t.Fatalf("seed %d %s workers=%d: InjectJob(tail %d): %v", seed, sch.Name, workers, i, err)
-							}
-							if idx != split+i {
-								t.Fatalf("seed %d %s workers=%d: tail job %d landed at index %d, want %d",
-									seed, sch.Name, workers, i, idx, split+i)
-							}
-						}
-						inj.Seal()
-						injSnap := check("inject", inj, head.Jobs, injCol)
-						inj.Close()
+					}
+					inj.Seal()
+					injSnap := check("inject", inj, head.Jobs, injCol)
 
-						if !same(head.Jobs, injSnap, sealedSnap) {
-							t.Fatalf("seed %d %s workers=%d: final snapshots differ between sealed and injected steppers",
-								seed, sch.Name, workers)
-						}
+					if !same(head.Jobs, injSnap, sealedSnap) {
+						t.Fatalf("seed %d %s: final snapshots differ between sealed and injected steppers",
+							seed, sch.Name)
 					}
 				}
 			}

@@ -54,7 +54,6 @@ func newStepper(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*St
 	}
 	if cfg.Resume != nil {
 		if err := s.restore(cfg.Resume); err != nil {
-			s.close()
 			return nil, err
 		}
 	}
@@ -314,6 +313,7 @@ func (st *Stepper) Status() StepStatus {
 	return out
 }
 
-// Close releases the stepper's worker pool (a no-op for serial runs).
-// The stepper must not be used afterwards.
-func (st *Stepper) Close() { st.s.close() }
+// Close does nothing: a stepper holds no goroutines or other resources
+// beyond its memory. It stays for callers written when it released a
+// worker pool.
+func (st *Stepper) Close() {}

@@ -30,7 +30,6 @@ func TestStepperEmptyStartStreaming(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	if st.Sealed() || st.Finished() {
 		t.Fatal("fresh open stepper reports sealed/finished")
 	}
@@ -74,7 +73,6 @@ func TestStepperInjectJobRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	if _, err := st.AdvanceTo(jobs.Jobs[len(jobs.Jobs)/2].Submit); err != nil {
 		t.Fatal(err)
 	}
@@ -119,7 +117,6 @@ func TestStepperPrematureResult(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	if _, err := st.Result(); err == nil || !strings.Contains(err.Error(), "still open") {
 		t.Fatalf("Result on open stream: %v", err)
 	}
@@ -143,7 +140,6 @@ func TestStepperAdvanceTo(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	st.Seal()
 
 	cut := jobs.Jobs[len(jobs.Jobs)/2].Submit
@@ -183,7 +179,6 @@ func TestStepperStatus(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer st.Close()
 	st.Seal()
 
 	s0 := st.Status()
@@ -302,7 +297,6 @@ func TestStepperBatchDrivenOpenStream(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer st.Close()
 		step := func() int {
 			if batch {
 				n, err := st.ProcessEventBatch()

@@ -39,9 +39,9 @@ func driftSpec() *telemetry.Spec {
 // contract: a telemetry spec with every error source at zero is a
 // perfect sensor layer, and a run configured with it must be
 // bit-identical to the oracle path — Result structs, their gob
-// encodings, and every periodic checkpoint — across schemes, seeds and
-// worker counts. This is what lets production configs leave a -telemetry
-// flag wired up permanently and pay nothing until errors are modeled.
+// encodings, and every periodic checkpoint — across schemes and seeds.
+// This is what lets production configs leave a -telemetry flag wired
+// up permanently and pay nothing until errors are modeled.
 func TestTelemetryZeroErrorBitIdentical(t *testing.T) {
 	fleet := testFleet(t, 16)
 	jobs := testJobs(t, 42, 40, 0.3)
@@ -52,39 +52,37 @@ func TestTelemetryZeroErrorBitIdentical(t *testing.T) {
 	for _, seed := range testgrid.Seeds() {
 		w := testWind(t, fleet, 300+seed)
 		for _, sch := range Schemes() {
-			for _, workers := range []int{1, 4} {
-				base := RunConfig{Seed: seed, Jobs: jobs, Wind: w, Workers: workers}
+			base := RunConfig{Seed: seed, Jobs: jobs, Wind: w}
 
-				refCol := &snapCollector{}
-				ref := base
-				ref.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: refCol.sink}
-				want, err := Run(fleet, sch, ref)
-				if err != nil {
-					t.Fatalf("seed %d %s workers=%d: oracle run: %v", seed, sch.Name, workers, err)
-				}
+			refCol := &snapCollector{}
+			ref := base
+			ref.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: refCol.sink}
+			want, err := Run(fleet, sch, ref)
+			if err != nil {
+				t.Fatalf("seed %d %s: oracle run: %v", seed, sch.Name, err)
+			}
 
-				telCol := &snapCollector{}
-				tel := base
-				tel.Telemetry = zero
-				tel.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: telCol.sink}
-				got, err := Run(fleet, sch, tel)
-				if err != nil {
-					t.Fatalf("seed %d %s workers=%d: zero-error telemetry run: %v", seed, sch.Name, workers, err)
-				}
+			telCol := &snapCollector{}
+			tel := base
+			tel.Telemetry = zero
+			tel.Checkpoint = &CheckpointConfig{Every: units.Hours(3), Sink: telCol.sink}
+			got, err := Run(fleet, sch, tel)
+			if err != nil {
+				t.Fatalf("seed %d %s: zero-error telemetry run: %v", seed, sch.Name, err)
+			}
 
-				if !reflect.DeepEqual(want, got) {
-					t.Fatalf("seed %d %s workers=%d: zero-error telemetry perturbed the run:\noracle    %+v\ntelemetry %+v", seed, sch.Name, workers, want, got)
-				}
-				if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
-					t.Fatalf("seed %d %s workers=%d: results DeepEqual but encode differently", seed, sch.Name, workers)
-				}
-				if len(refCol.snaps) == 0 || len(refCol.snaps) != len(telCol.snaps) {
-					t.Fatalf("seed %d %s workers=%d: oracle emitted %d checkpoints, telemetry %d", seed, sch.Name, workers, len(refCol.snaps), len(telCol.snaps))
-				}
-				for i := range refCol.snaps {
-					if !bytes.Equal(refCol.snaps[i], telCol.snaps[i]) {
-						t.Fatalf("seed %d %s workers=%d: checkpoint %d/%d differs between oracle and zero-error telemetry runs", seed, sch.Name, workers, i+1, len(refCol.snaps))
-					}
+			if !reflect.DeepEqual(want, got) {
+				t.Fatalf("seed %d %s: zero-error telemetry perturbed the run:\noracle    %+v\ntelemetry %+v", seed, sch.Name, want, got)
+			}
+			if !bytes.Equal(gobBytes(t, want), gobBytes(t, got)) {
+				t.Fatalf("seed %d %s: results DeepEqual but encode differently", seed, sch.Name)
+			}
+			if len(refCol.snaps) == 0 || len(refCol.snaps) != len(telCol.snaps) {
+				t.Fatalf("seed %d %s: oracle emitted %d checkpoints, telemetry %d", seed, sch.Name, len(refCol.snaps), len(telCol.snaps))
+			}
+			for i := range refCol.snaps {
+				if !bytes.Equal(refCol.snaps[i], telCol.snaps[i]) {
+					t.Fatalf("seed %d %s: checkpoint %d/%d differs between oracle and zero-error telemetry runs", seed, sch.Name, i+1, len(refCol.snaps))
 				}
 			}
 		}

@@ -208,8 +208,8 @@ func TestSubmitDecodeRejections(t *testing.T) {
 	}
 }
 
-// TestCreateRejectsWorkerCount: every worker is a goroutine and a
-// scratch arena, so a worker count outside [0, maxWorkers] is a 422
+// TestCreateRejectsWorkerCount: the ignored workers field keeps its
+// old range, so a count outside [0, maxWorkers] is still a 422
 // invalid_spec that leaves no tenant and starts no goroutine.
 func TestCreateRejectsWorkerCount(t *testing.T) {
 	srv := New()
@@ -247,6 +247,102 @@ func TestCreateRejectsWorkerCount(t *testing.T) {
 	ok.Workers = maxWorkers
 	if err := ok.Validate(); err != nil {
 		t.Fatalf("workers=maxWorkers rejected: %v", err)
+	}
+}
+
+// workersSpec is a wind-powered ScanFair tenant, so its runs take the
+// fair order the workers field once split across goroutines.
+func workersSpec(workers int) TenantSpec {
+	spec := testSpec("wk")
+	spec.Scheme = "ScanFair"
+	spec.Workers = workers
+	return spec
+}
+
+// TestWorkersFieldIgnored: a tenant created with "workers": 8 and one
+// created without the field serve byte-identical status, snapshot and
+// result.
+func TestWorkersFieldIgnored(t *testing.T) {
+	subs := submissions(testgrid.Jobs(t, 52, 30, 0.3).Jobs)
+	half := len(subs) / 2
+	drive := func(workers int) (status, snap, result []byte) {
+		srv := New()
+		defer srv.Close()
+		h := srv.Handler()
+		wantStatus(t, do(t, h, "POST", "/v1/tenants", workersSpec(workers)), http.StatusCreated)
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/jobs", SubmitRequest{Jobs: subs}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/advance", AdvanceRequest{To: subs[half].At}), http.StatusOK)
+		rec := do(t, h, "GET", "/v1/tenants/wk", nil)
+		wantStatus(t, rec, http.StatusOK)
+		status = rec.Body.Bytes()
+		rec = do(t, h, "GET", "/v1/tenants/wk/snapshot", nil)
+		wantStatus(t, rec, http.StatusOK)
+		snap = rec.Body.Bytes()
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/seal", nil), http.StatusOK)
+		rec = do(t, h, "GET", "/v1/tenants/wk/result", nil)
+		wantStatus(t, rec, http.StatusOK)
+		return status, snap, rec.Body.Bytes()
+	}
+	wantSt, wantSnap, wantRes := drive(0)
+	gotSt, gotSnap, gotRes := drive(8)
+	if !bytes.Equal(gotSt, wantSt) {
+		t.Errorf("status with workers 8 differs:\n%s\nwithout the field:\n%s", gotSt, wantSt)
+	}
+	if !bytes.Equal(gotSnap, wantSnap) {
+		t.Errorf("snapshot with workers 8 differs from the one without the field (%d vs %d bytes)", len(gotSnap), len(wantSnap))
+	}
+	if !bytes.Equal(gotRes, wantRes) {
+		t.Errorf("result with workers 8 differs:\n%s\nwithout the field:\n%s", gotRes, wantRes)
+	}
+}
+
+// TestLoadAllIgnoresStoredWorkers: a state dir whose stored spec
+// carries "workers": 8 loads through LoadAll and finishes
+// byte-identically to an uninterrupted tenant created without the
+// field.
+func TestLoadAllIgnoresStoredWorkers(t *testing.T) {
+	subs := submissions(testgrid.Jobs(t, 53, 30, 0.3).Jobs)
+	half := len(subs) / 2
+	start := func(h http.Handler, workers int) {
+		wantStatus(t, do(t, h, "POST", "/v1/tenants", workersSpec(workers)), http.StatusCreated)
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/jobs", SubmitRequest{Jobs: subs[:half]}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/advance", AdvanceRequest{To: subs[half].At - 1}), http.StatusOK)
+	}
+	finish := func(h http.Handler) []byte {
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/jobs", SubmitRequest{Jobs: subs[half:]}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", "/v1/tenants/wk/seal", nil), http.StatusOK)
+		rec := do(t, h, "GET", "/v1/tenants/wk/result", nil)
+		wantStatus(t, rec, http.StatusOK)
+		return rec.Body.Bytes()
+	}
+
+	ref := New()
+	defer ref.Close()
+	start(ref.Handler(), 0)
+	want := finish(ref.Handler())
+
+	a := New()
+	start(a.Handler(), 8)
+	dir := t.TempDir()
+	if err := a.SaveAll(dir); err != nil {
+		t.Fatal(err)
+	}
+	a.Close()
+	meta, err := os.ReadFile(filepath.Join(dir, "wk"+metaSuffix))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(meta, []byte(`"workers": 8`)) {
+		t.Fatalf("stored spec does not carry the workers field:\n%s", meta)
+	}
+
+	b := New()
+	defer b.Close()
+	if n, err := b.LoadAll(dir); err != nil || n != 1 {
+		t.Fatalf("LoadAll: %d tenants, err %v", n, err)
+	}
+	if got := finish(b.Handler()); !bytes.Equal(got, want) {
+		t.Fatalf("tenant restored from a workers-8 spec diverged:\n%s\nuninterrupted without the field:\n%s", got, want)
 	}
 }
 

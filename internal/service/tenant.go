@@ -44,7 +44,7 @@ type tenant struct {
 // a daemon restart rebuild a tenant whose snapshot still hashes to the
 // same configuration.
 func buildConfig(spec *TenantSpec, fleet *scheduler.Fleet) (scheduler.RunConfig, error) {
-	cfg := scheduler.RunConfig{Seed: spec.Seed, Workers: spec.Workers}
+	cfg := scheduler.RunConfig{Seed: spec.Seed}
 	if spec.Wind != nil {
 		w := spec.Wind
 		tr, err := wind.Generate(wind.DefaultConfig(w.Seed, units.Days(w.Days)))
@@ -379,7 +379,6 @@ func (t *tenant) compactJournal(upTo uint64) error {
 func (t *tenant) close() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	t.st.Close()
 	if t.jr != nil {
 		t.jr.Close()
 		t.jr = nil

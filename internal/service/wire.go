@@ -44,19 +44,18 @@ type TenantSpec struct {
 	// Invariants enables the online runtime-verification monitor in
 	// record mode; violations surface in the tenant status.
 	Invariants bool `json:"invariants,omitempty"`
-	// Workers shards the fair-order pass, the one sharded scheduling
-	// kernel, over this many workers; 0 and 1 run it inline. At most
-	// maxWorkers.
+	// Workers is accepted and ignored: it once set a per-tenant worker
+	// count, and specs and state dirs written then still carry it. It
+	// must still lie in [0, maxWorkers], so every spec accepted or
+	// refused before is accepted or refused now.
 	Workers int `json:"workers,omitempty"`
 	// Admission selects the job-admission policy; nil admits
 	// everything.
 	Admission *AdmissionSpec `json:"admission,omitempty"`
 }
 
-// maxWorkers caps TenantSpec.Workers. Each worker is a goroutine and a
-// fair-order shard per tenant, so an unbounded count from the wire
-// could exhaust the daemon's memory; 64 is well above any count the
-// benchmarks sweep.
+// maxWorkers caps the ignored TenantSpec.Workers at the bound it had
+// when it was a worker count.
 const maxWorkers = 64
 
 // maxProcs caps TenantSpec.Procs. A tenant's fleet is built before the
