@@ -5,6 +5,7 @@ import (
 	"slices"
 	"testing"
 	"time"
+	"unsafe"
 
 	"iscope/internal/units"
 )
@@ -270,6 +271,15 @@ func TestBatchDispatchAllocFree(t *testing.T) {
 	batch()
 	if allocs := testing.AllocsPerRun(100, batch); allocs > 0.2 {
 		t.Errorf("batch dispatch allocated %v times per call in steady state, want ~0", allocs)
+	}
+}
+
+// TestEngineTagSize pins the engine tag at 16 bytes: with the engine's
+// 16-byte (at, seq) key (TestNodeSize in internal/simulator) a queue
+// node is 32 bytes, so every sift and batch copy stays short.
+func TestEngineTagSize(t *testing.T) {
+	if got := unsafe.Sizeof(engineTag{}); got != 16 {
+		t.Fatalf("engineTag is %d bytes, want 16", got)
 	}
 }
 

@@ -19,10 +19,10 @@ import (
 	"iscope/internal/workload"
 )
 
-// tagKind enumerates the event descriptors the scheduler attaches to
-// every scheduled callback. Tags are what make the event queue
-// checkpointable: the callback closures cannot be serialized, but each
-// one can be rebuilt from its tag on resume.
+// tagKind enumerates the kinds of event the scheduler queues on its
+// engine. A kind and its integer operands are all a handler needs, so
+// a pending event serializes as its tag and fires the same after a
+// resume.
 type tagKind uint8
 
 const (
@@ -36,18 +36,25 @@ const (
 	tagFaultEvent                    // A = index into the compiled fault plan
 	tagRepaired                      // A = processor id
 	tagMargin                        // A = slice serial, B = generation, C = level
-	tagReprofiled                    // A = processor id, FP* = the tripped false pass
+	tagReprofiled                    // A = processor id (its false pass waits in faultState.reprofiling)
 	tagTelemetry                     // periodic sensor sampling tick
 )
 
-// eventTag is the serializable descriptor of one pending event. A
-// single concrete struct (rather than one type per kind) keeps gob
-// encoding free of interface registration. The fields are int32 and the
-// false-pass payload is inlined as scalars, which keeps the tag — and
-// with it the event engine's heap node — small and pointer-free: sift
-// copies are short memmoves with no GC write barriers, a measurable
-// share of the hot loop. FPDrift 0 (which a compiled false pass can
-// never have) marks "no false-pass payload".
+// engineTag is the event the scheduler's engine queues. A single
+// concrete struct (rather than one type per kind) with int32 operands
+// keeps it 16 bytes and pointer-free, so the engine's node is 32 bytes
+// and its sift copies are short memmoves with no GC write barriers, a
+// measurable share of the hot loop.
+type engineTag struct {
+	Kind    tagKind
+	A, B, C int32
+}
+
+// eventTag is the v5 wire form of an engineTag. gob writes struct type
+// names into the stream, so it keeps its name and all seven fields. The
+// false-pass payload (FP*) is set only on a tagReprofiled event:
+// snapshot fills it from faultState.reprofiling and restore puts it
+// back there.
 type eventTag struct {
 	Kind            tagKind
 	A, B, C         int32
@@ -55,7 +62,12 @@ type eventTag struct {
 	FPDrift         float64
 }
 
-// fp reassembles the inlined false-pass payload of a tagReprofiled tag.
+// engine is the engine's form of a restored tag, without the payload.
+func (t eventTag) engine() engineTag {
+	return engineTag{Kind: t.Kind, A: t.A, B: t.B, C: t.C}
+}
+
+// fp reassembles the false-pass payload of a tagReprofiled tag.
 func (t eventTag) fp() faults.FalsePass {
 	return faults.FalsePass{Chip: int(t.FPChip), Level: int(t.FPLevel), DriftFrac: t.FPDrift}
 }
@@ -302,9 +314,6 @@ func (s *sim) snapshot() (*runSnapshot, error) {
 	events := make([]snapEvent, 0, len(pending))
 	next, arrivals := len(trace), 0
 	for _, ev := range pending {
-		if ev.Closure {
-			return nil, fmt.Errorf("scheduler: untagged event at t=%v cannot be checkpointed", ev.At)
-		}
 		if i := int(ev.Tag.A); ev.Tag.Kind == tagArrival && i < len(trace) {
 			// Trace arrivals pop in (Submit, index+1) order, so the
 			// unfired ones are a suffix of the trace, in index order.
@@ -320,7 +329,12 @@ func (s *sim) snapshot() (*runSnapshot, error) {
 		if s.staleTag(ev.Tag) {
 			continue
 		}
-		events = append(events, snapEvent{At: ev.At, Seq: ev.Seq, Tag: ev.Tag})
+		tag := eventTag{Kind: ev.Tag.Kind, A: ev.Tag.A, B: ev.Tag.B, C: ev.Tag.C}
+		if tag.Kind == tagReprofiled {
+			fp := s.faults.reprofiling[int(tag.A)]
+			tag.FPChip, tag.FPLevel, tag.FPDrift = int32(fp.Chip), int32(fp.Level), fp.DriftFrac
+		}
+		events = append(events, snapEvent{At: ev.At, Seq: ev.Seq, Tag: tag})
 	}
 	if next+arrivals != len(trace) {
 		return nil, fmt.Errorf("scheduler: trace arrivals [%d, %d) are pending, but the trace has %d jobs", next, next+arrivals, len(trace))
@@ -689,10 +703,13 @@ func (s *sim) restore(data []byte) error {
 		if err := arriveBefore(ev.At, ev.Seq); err != nil {
 			return err
 		}
-		if ev.Tag.Kind == tagCheckpoint {
+		switch ev.Tag.Kind {
+		case tagCheckpoint:
 			ckptRestored = true
+		case tagReprofiled:
+			s.faults.reprofiling[int(ev.Tag.A)] = ev.Tag.fp()
 		}
-		if err := s.eng.InjectTag(ev.At, ev.Seq, ev.Tag); err != nil {
+		if err := s.eng.InjectTag(ev.At, ev.Seq, ev.Tag.engine()); err != nil {
 			return fmt.Errorf("scheduler: resume: %w", err)
 		}
 	}
@@ -703,7 +720,7 @@ func (s *sim) restore(data []byte) error {
 	// holds no pending tick (the original run checkpointed only on
 	// cancellation, or not at all).
 	if !ckptRestored && s.cfg.Checkpoint != nil && s.cfg.Checkpoint.Every > 0 {
-		_ = s.eng.AfterTag(s.cfg.Checkpoint.Every, eventTag{Kind: tagCheckpoint})
+		_ = s.eng.AfterTag(s.cfg.Checkpoint.Every, engineTag{Kind: tagCheckpoint})
 	}
 	return nil
 }
@@ -712,7 +729,7 @@ func (s *sim) restore(data []byte) error {
 // Serials are never reissued, so the dispatcher would drop the event
 // whenever it fired. Capture leaves such events out and restore drops
 // them, so a resumed run's checkpoints equal the uninterrupted run's.
-func (s *sim) staleTag(tag eventTag) bool {
+func (s *sim) staleTag(tag engineTag) bool {
 	return (tag.Kind == tagCompletion || tag.Kind == tagMargin) && s.sliceFor(int(tag.A)) == nil
 }
 
@@ -720,9 +737,8 @@ func (s *sim) staleTag(tag eventTag) bool {
 // false for events that are provably no-ops there: a stale completion
 // or margin check (see staleTag), or a checkpoint tick when the resumed
 // run disabled checkpointing. Dropping a no-op instead of replaying it
-// cannot change the trajectory. Kept events need no callback rebuilt:
-// the engine routes their tags back through the same dispatcher the
-// live run uses.
+// cannot change the trajectory. Kept events fire through the same
+// dispatcher the live run uses.
 func (s *sim) validateTag(tag eventTag) (bool, error) {
 	switch tag.Kind {
 	case tagArrival:
@@ -754,10 +770,13 @@ func (s *sim) validateTag(tag eventTag) (bool, error) {
 		}
 		return true, nil
 	case tagCompletion:
-		return !s.staleTag(tag), nil
+		return !s.staleTag(tag.engine()), nil
 	case tagFinishScan:
 		if tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
 			return false, fmt.Errorf("scan finish for processor %d out of range", tag.A)
+		}
+		if !s.onlineActive || s.scanState[tag.A] != 1 {
+			return false, fmt.Errorf("scan finish for processor %d, which has no scan in progress", tag.A)
 		}
 		return true, nil
 	case tagFaultEvent:
@@ -780,13 +799,22 @@ func (s *sim) validateTag(tag eventTag) (bool, error) {
 		if s.faults == nil {
 			return false, fmt.Errorf("margin event with fault injection disabled")
 		}
-		return !s.staleTag(tag), nil
+		return !s.staleTag(tag.engine()), nil
 	case tagReprofiled:
-		if s.faults == nil || tag.FPDrift <= 0 {
-			return false, fmt.Errorf("reprofile event invalid")
+		if s.faults == nil {
+			return false, fmt.Errorf("reprofile event with fault injection disabled")
 		}
 		if tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
 			return false, fmt.Errorf("reprofile event for processor %d out of range", tag.A)
+		}
+		// The payload is a faults.FalsePass of this chip: the handler
+		// indexes voltages by its level, and its drift is a fraction
+		// strictly inside (0, 1).
+		if tag.FPChip != tag.A || tag.FPLevel < 0 || int(tag.FPLevel) >= s.faults.levels || !(tag.FPDrift > 0 && tag.FPDrift < 1) {
+			return false, fmt.Errorf("reprofile event for processor %d carries a malformed false pass (chip %d, level %d, drift %v)", tag.A, tag.FPChip, tag.FPLevel, tag.FPDrift)
+		}
+		if _, dup := s.faults.reprofiling[int(tag.A)]; dup {
+			return false, fmt.Errorf("second reprofile event for processor %d", tag.A)
 		}
 		return true, nil
 	}

@@ -9,12 +9,15 @@ import (
 	"math"
 	"reflect"
 	"slices"
+	"strings"
 	"testing"
 
 	"iscope/internal/battery"
 	"iscope/internal/brownout"
 	"iscope/internal/checkpoint"
+	"iscope/internal/faults"
 	"iscope/internal/invariants"
+	"iscope/internal/scheduler/testgrid"
 	"iscope/internal/units"
 	"iscope/internal/workload"
 )
@@ -417,6 +420,135 @@ func TestResumeRejectsCorruptSnapshots(t *testing.T) {
 		re.Resume = other
 		if _, err := NewStepper(fleet, sch, re); !errors.Is(err, checkpoint.ErrVersion) {
 			t.Errorf("version-%d snapshot: got %v, want ErrVersion", version, err)
+		}
+	}
+}
+
+// TestResumeRejectsMalformedEvents feeds NewStepper well-formed
+// snapshots, re-encoded so the checksum holds, that differ from a real
+// one in a single pending event, and requires each to be refused with
+// the named reason instead of resuming into a wrong run or a panic.
+// "rich" is the golden batch configuration at digestSnapInstant: its
+// queue holds a re-profile with its false-pass payload, and its fault
+// plan has battery-fade events that no battery observes. "bare" runs
+// the same trace with online profiling but no wind, faults, telemetry
+// or sampler.
+func TestResumeRejectsMalformedEvents(t *testing.T) {
+	fleet := testFleet(t, 32)
+	jobs := testJobs(t, 51, 120, 0.3)
+	sch, _ := SchemeByName("ScanFair")
+	ckpt := &CheckpointConfig{Every: units.Hours(3), Sink: func([]byte) error { return nil }}
+	configs := map[string]RunConfig{
+		"rich": {Seed: 3, Jobs: jobs, Wind: testWind(t, fleet, 52), EnableRebalance: true,
+			Faults: testgrid.DenseFaults(), Telemetry: testgrid.HostileTelemetry(7), Checkpoint: ckpt},
+		"bare": {Seed: 3, Jobs: jobs, Online: &OnlineProfiling{}, Checkpoint: ckpt},
+	}
+	snaps := map[string]runSnapshot{}
+	fade, unscanned := -1, -1
+	for name, cfg := range configs {
+		st, err := NewStepper(fleet, sch, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.Seal()
+		batchTo(t, st, digestSnapInstant)
+		data, err := st.Snapshot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		var snap runSnapshot
+		if err := checkpoint.Decode(data, &snap); err != nil {
+			t.Fatal(err)
+		}
+		snaps[name] = snap
+		if f := st.s.faults; f != nil {
+			fade = slices.IndexFunc(f.plan.Events, func(ev faults.Event) bool { return ev.Kind == faults.BatteryFade })
+		}
+		if st.s.onlineActive {
+			unscanned = slices.IndexFunc(st.s.scanState, func(state byte) bool { return state != 1 })
+		}
+	}
+	reprofile := slices.IndexFunc(snaps["rich"].Events, func(ev snapEvent) bool { return ev.Tag.Kind == tagReprofiled })
+	if reprofile < 0 || fade < 0 || unscanned < 0 {
+		t.Fatalf("no pending re-profile (%d), battery-fade plan event (%d) or processor outside a scan (%d)", reprofile, fade, unscanned)
+	}
+	pending := snaps["rich"].Events[reprofile].Tag
+
+	// resume re-encodes snapshot name after edit and resumes from it.
+	resume := func(name string, edit func(*runSnapshot)) error {
+		snap := snaps[name]
+		snap.Events = slices.Clone(snap.Events)
+		edit(&snap)
+		data, err := checkpoint.Encode(&snap)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := configs[name]
+		cfg.Resume = data
+		_, err = NewStepper(fleet, sch, cfg)
+		return err
+	}
+	// add appends one event at the snapshot's instant under a fresh
+	// sequence number.
+	add := func(tag eventTag) func(*runSnapshot) {
+		return func(snap *runSnapshot) {
+			snap.Seq++
+			snap.Events = append(snap.Events, snapEvent{At: snap.Now, Seq: snap.Seq, Tag: tag})
+		}
+	}
+	// payload rewrites the pending re-profile.
+	payload := func(edit func(*eventTag)) func(*runSnapshot) {
+		return func(snap *runSnapshot) { edit(&snap.Events[reprofile].Tag) }
+	}
+
+	// The controls: the unedited snapshots, and one with an extra event
+	// that is valid anywhere, resume.
+	for name := range configs {
+		if err := resume(name, func(*runSnapshot) {}); err != nil {
+			t.Fatalf("%s: the re-encoded snapshot was refused: %v", name, err)
+		}
+		if err := resume(name, add(eventTag{Kind: tagAuxTick})); err != nil {
+			t.Fatalf("%s: a snapshot with an extra aux tick was refused: %v", name, err)
+		}
+	}
+
+	for _, tc := range []struct {
+		name, snap string
+		edit       func(*runSnapshot)
+		want       string
+	}{
+		{"reprofile level above range", "rich", payload(func(tag *eventTag) { tag.FPLevel = 99 }), "malformed false pass"},
+		{"reprofile level negative", "rich", payload(func(tag *eventTag) { tag.FPLevel = -1 }), "malformed false pass"},
+		{"reprofile chip out of range", "rich", payload(func(tag *eventTag) { tag.FPChip = 1_000_000 }), "malformed false pass"},
+		{"reprofile chip not the processor", "rich", payload(func(tag *eventTag) { tag.FPChip = (tag.A + 1) % 32 }), "malformed false pass"},
+		{"reprofile drift above one", "rich", payload(func(tag *eventTag) { tag.FPDrift = 7 }), "malformed false pass"},
+		{"reprofile drift zero", "rich", payload(func(tag *eventTag) { tag.FPDrift = 0 }), "malformed false pass"},
+		{"reprofile drift NaN", "rich", payload(func(tag *eventTag) { tag.FPDrift = math.NaN() }), "malformed false pass"},
+		{"reprofile processor out of range", "rich", payload(func(tag *eventTag) { tag.A, tag.FPChip = 32, 32 }), "reprofile event for processor 32 out of range"},
+		{"second reprofile of one processor", "rich", add(pending), "second reprofile"},
+		{"reprofile without faults", "bare", add(eventTag{Kind: tagReprofiled, FPDrift: 0.5}), "reprofile event with fault injection disabled"},
+		{"arrival of a trace job", "rich", add(eventTag{Kind: tagArrival, A: 0}), "not an injected job's"},
+		{"arrival past the job set", "rich", add(eventTag{Kind: tagArrival, A: 120}), "not an injected job's"},
+		{"wind tick without wind", "bare", add(eventTag{Kind: tagWindTick}), "wind tick in a utility-only run"},
+		{"sampler tick without sampling", "rich", add(eventTag{Kind: tagSample}), "sampling disabled"},
+		{"telemetry tick without telemetry", "bare", add(eventTag{Kind: tagTelemetry}), "telemetry disabled"},
+		{"scan finish processor out of range", "rich", add(eventTag{Kind: tagFinishScan, A: 32}), "scan finish for processor 32 out of range"},
+		{"scan finish processor negative", "rich", add(eventTag{Kind: tagFinishScan, A: -1}), "scan finish for processor -1 out of range"},
+		{"scan finish without online profiling", "rich", add(eventTag{Kind: tagFinishScan}), "no scan in progress"},
+		{"scan finish outside a scan", "bare", add(eventTag{Kind: tagFinishScan, A: int32(unscanned)}), "no scan in progress"},
+		{"fault event without faults", "bare", add(eventTag{Kind: tagFaultEvent}), "fault event with fault injection disabled"},
+		{"fault plan index out of range", "rich", add(eventTag{Kind: tagFaultEvent, A: 1 << 30}), "fault plan index"},
+		{"fault plan index negative", "rich", add(eventTag{Kind: tagFaultEvent, A: -1}), "fault plan index"},
+		{"fault plan event without observer", "rich", add(eventTag{Kind: tagFaultEvent, A: int32(fade)}), "has no observer"},
+		{"repair without faults", "bare", add(eventTag{Kind: tagRepaired}), "repair event for processor 0 invalid"},
+		{"repair processor out of range", "rich", add(eventTag{Kind: tagRepaired, A: 32}), "repair event for processor 32 invalid"},
+		{"margin check without faults", "bare", add(eventTag{Kind: tagMargin}), "margin event with fault injection disabled"},
+		{"kind zero", "rich", add(eventTag{}), "unknown event tag kind 0"},
+		{"kind past the last", "rich", add(eventTag{Kind: tagTelemetry + 1}), "unknown event tag kind"},
+	} {
+		err := resume(tc.snap, tc.edit)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: NewStepper returned %v, want an error containing %q", tc.name, err, tc.want)
 		}
 	}
 }

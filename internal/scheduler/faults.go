@@ -27,6 +27,16 @@ type faultState struct {
 	// victims holds the not-yet-tripped false passes keyed by
 	// (chip, bad level).
 	victims map[victimKey]faults.FalsePass
+	// reprofiling holds the tripped false pass of each chip whose
+	// emergency re-profile is in flight; the tagReprofiled event
+	// carries only the chip. One slot per chip is enough:
+	// onMarginViolation takes the chip offline before arming the
+	// re-profile, onCrash, maybeProfile and brownout parking all skip
+	// chips that are offline or idle, and only onReprofiled brings it
+	// back, so no second margin violation can trip on it in between.
+	// The map is only ever indexed, never ranged over, so its order
+	// reaches no byte.
+	reprofiling map[int]faults.FalsePass
 	// override[chip*levels+level], when positive, replaces the
 	// knowledge regime's operating voltage (worst-case fallback while a
 	// suspect chip awaits re-profile, then its corrected MinVdd+guard).
@@ -69,6 +79,7 @@ func newFaultState(cfg RunConfig, fleet *Fleet, guard units.Volts) (*faultState,
 		levels:        levels,
 		guard:         guard,
 		victims:       make(map[victimKey]faults.FalsePass, len(plan.FalsePasses)),
+		reprofiling:   make(map[int]faults.FalsePass),
 		override:      make([]units.Volts, len(fleet.Chips)*levels),
 		supplyFactor:  1,
 		fallbackSince: make([]units.Seconds, len(fleet.Chips)),
@@ -113,7 +124,7 @@ func (s *sim) scheduleFaultEvents() {
 		if !s.faultEventObserved(i) {
 			continue
 		}
-		_ = s.eng.ScheduleTag(ev.At, eventTag{Kind: tagFaultEvent, A: int32(i)})
+		_ = s.eng.ScheduleTag(ev.At, engineTag{Kind: tagFaultEvent, A: int32(i)})
 	}
 }
 
@@ -170,7 +181,7 @@ func (s *sim) onCrash(id int, repair, now units.Seconds) {
 		return
 	}
 	f.repairSince[id] = now
-	_ = s.eng.AfterTag(repair, eventTag{Kind: tagRepaired, A: int32(id)})
+	_ = s.eng.AfterTag(repair, engineTag{Kind: tagRepaired, A: int32(id)})
 }
 
 // onRepaired returns a crashed processor to service and restarts its
@@ -239,7 +250,7 @@ func (s *sim) armFalsePass(sl *cluster.Slice) {
 	if latency < 0 {
 		latency = 0
 	}
-	_ = s.eng.AfterTag(latency, eventTag{Kind: tagMargin, A: int32(sl.Serial), B: int32(sl.Gen), C: int32(sl.Level)})
+	_ = s.eng.AfterTag(latency, engineTag{Kind: tagMargin, A: int32(sl.Serial), B: int32(sl.Gen), C: int32(sl.Level)})
 }
 
 // onMarginViolation fires when a falsely-passed chip corrupts its
@@ -277,19 +288,19 @@ func (s *sim) onMarginViolation(sl *cluster.Slice, gen, level int, now units.Sec
 	if err := s.dc.ForceOffline(id, reprofileDraw); err != nil {
 		return
 	}
-	_ = s.eng.AfterTag(f.spec.ReprofileTime, eventTag{
-		Kind: tagReprofiled, A: int32(id),
-		FPChip: int32(fp.Chip), FPLevel: int32(fp.Level), FPDrift: fp.DriftFrac,
-	})
+	f.reprofiling[id] = fp
+	_ = s.eng.AfterTag(f.spec.ReprofileTime, engineTag{Kind: tagReprofiled, A: int32(id)})
 }
 
 // onReprofiled completes a suspect chip's emergency re-scan: the
 // worst-case fallback is lifted everywhere except the bad level, which
 // now operates at the corrected true minimum plus the in-cloud guard.
-func (s *sim) onReprofiled(id int, fp faults.FalsePass, now units.Seconds) {
+func (s *sim) onReprofiled(id int, now units.Seconds) {
 	s.sync(now)
 	s.fairValid = false
 	f := s.faults
+	fp := f.reprofiling[id]
+	delete(f.reprofiling, id)
 	f.stats.Reprofiles++
 	if since := f.fallbackSince[id]; since >= 0 {
 		f.stats.FallbackVoltHours += float64(now-since) / 3600

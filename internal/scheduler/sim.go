@@ -239,7 +239,7 @@ type jobState struct {
 }
 
 type sim struct {
-	eng    *simulator.Engine[eventTag]
+	eng    *simulator.Engine[engineTag]
 	dc     *cluster.Datacenter
 	fleet  *Fleet
 	know   Knowledge
@@ -318,9 +318,8 @@ type sim struct {
 	// the previous map (and its hash/assign/delete cost on every
 	// placement and completion). Entries are set at placement and
 	// cleared at completion, so a nil (or out-of-range) entry means the
-	// event is stale and a no-op, the same contract the old closure
-	// guards enforced. On resume it is rebuilt from the restored cluster
-	// state.
+	// event is stale and a no-op. On resume it is rebuilt from the
+	// restored cluster state.
 	bySerial []*cluster.Slice
 	// runStamp is an epoch-stamped membership set over serials used by
 	// sortRunningBySlack to detect slices that started running since the
@@ -579,15 +578,7 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		initialJobs = cfg.Jobs.Jobs
 	}
 
-	// Pending events peak at the not-yet-arrived jobs plus one
-	// completion per processor and a few ticks. The arrivals, pushed up
-	// front in trace order, append to the engine's in-order run;
-	// completions and ticks land between them, before the run's tail,
-	// and take the heap. Naive and optimized runs share this engine.
-	eng := simulator.NewWithCapacity[eventTag](len(initialJobs), len(fleet.Chips)+16)
-
 	s := &sim{
-		eng:       eng,
 		dc:        dc,
 		fleet:     fleet,
 		know:      know,
@@ -601,7 +592,12 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		runStamp:  make([]int64, 0, 2*len(fleet.Chips)),
 		takenMark: make([]int64, len(fleet.Chips)),
 	}
-	s.eng.SetDispatcher(s.dispatch)
+	// Pending events peak at the not-yet-arrived jobs plus one
+	// completion per processor and a few ticks. The arrivals, pushed up
+	// front in trace order, append to the engine's in-order run;
+	// completions and ticks land between them, before the run's tail,
+	// and take the heap. Naive and optimized runs share this engine.
+	s.eng = simulator.NewWithCapacity(s.dispatch, len(initialJobs), len(fleet.Chips)+16)
 	if cfg.naive {
 		dc.DisablePowerCache()
 	}
@@ -676,7 +672,7 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		if s.tickInterval <= 0 {
 			s.tickInterval = cfg.Wind.Interval
 		}
-		_ = s.eng.ScheduleTag(0, eventTag{Kind: tagWindTick})
+		_ = s.eng.ScheduleTag(0, engineTag{Kind: tagWindTick})
 	} else if s.onlineActive || cfg.EnableRebalance {
 		// Utility-only run with online profiling or rebalancing: give
 		// them their own periodic opportunity check.
@@ -684,18 +680,18 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		if s.tickInterval <= 0 {
 			s.tickInterval = units.Minutes(10)
 		}
-		_ = s.eng.ScheduleTag(0, eventTag{Kind: tagAuxTick})
+		_ = s.eng.ScheduleTag(0, engineTag{Kind: tagAuxTick})
 	}
 
 	// Sampler ticks.
 	if s.sampler != nil {
-		_ = s.eng.ScheduleTag(0, eventTag{Kind: tagSample})
+		_ = s.eng.ScheduleTag(0, engineTag{Kind: tagSample})
 	}
 
 	// Sensor sampling ticks. The first read waits one interval: at t=0
 	// nothing runs, so there is no power to estimate yet.
 	if s.telem != nil {
-		_ = s.eng.AfterTag(s.telem.spec.SampleInterval, eventTag{Kind: tagTelemetry})
+		_ = s.eng.AfterTag(s.telem.spec.SampleInterval, engineTag{Kind: tagTelemetry})
 	}
 
 	// Fault plan events (no-op schedule when faults are disabled).
@@ -707,7 +703,7 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 	// inside the snapshot) is restored instead; restore arms a fresh one
 	// only when the snapshot holds none.
 	if cfg.Resume == nil && cfg.Checkpoint != nil && cfg.Checkpoint.Every > 0 {
-		_ = s.eng.AfterTag(cfg.Checkpoint.Every, eventTag{Kind: tagCheckpoint})
+		_ = s.eng.AfterTag(cfg.Checkpoint.Every, engineTag{Kind: tagCheckpoint})
 	}
 
 	s.batchHalt = func() bool { return (!s.open && s.jobsLeft == 0) || s.invErr != nil }
@@ -727,7 +723,7 @@ func (s *sim) trace() []workload.Job {
 // injectArrival queues job idx's arrival at its Submit time with
 // sequence number idx+1, inside the reserved arrival band.
 func (s *sim) injectArrival(idx int) error {
-	return s.eng.InjectTag(s.states[idx].job.Submit, uint64(idx)+1, eventTag{Kind: tagArrival, A: int32(idx)})
+	return s.eng.InjectTag(s.states[idx].job.Submit, uint64(idx)+1, engineTag{Kind: tagArrival, A: int32(idx)})
 }
 
 // moreWork reports whether the run still has (or may still receive)
@@ -804,9 +800,8 @@ func (s *sim) assembleResult() (*Result, error) {
 // identically whether it fires in the original run or after a resume.
 // Completion and margin events resolve their slice through the serial
 // index; a missing serial means the slice already completed and the
-// event is a stale no-op (the same guard the per-event closures used
-// to carry).
-func (s *sim) dispatch(tag eventTag, now units.Seconds) {
+// event is a stale no-op.
+func (s *sim) dispatch(tag engineTag, now units.Seconds) {
 	switch tag.Kind {
 	case tagArrival:
 		s.onArrival(int(tag.A), now)
@@ -835,7 +830,7 @@ func (s *sim) dispatch(tag eventTag, now units.Seconds) {
 			s.onMarginViolation(sl, int(tag.B), int(tag.C), now)
 		}
 	case tagReprofiled:
-		s.onReprofiled(int(tag.A), tag.fp(), now)
+		s.onReprofiled(int(tag.A), now)
 	default:
 		panic(fmt.Sprintf("scheduler: dispatch of unknown tag kind %d", tag.Kind))
 	}
@@ -890,7 +885,7 @@ func (s *sim) sync(now units.Seconds) {
 func (s *sim) onWindTick(now units.Seconds) {
 	s.onTick(now)
 	if s.moreWork() {
-		_ = s.eng.AfterTag(s.tickInterval, eventTag{Kind: tagWindTick})
+		_ = s.eng.AfterTag(s.tickInterval, engineTag{Kind: tagWindTick})
 	}
 }
 
@@ -903,7 +898,7 @@ func (s *sim) onAuxTick(now units.Seconds) {
 		s.rebalance(now)
 	}
 	if s.moreWork() && (s.cfg.EnableRebalance || s.scanLeft > 0) {
-		_ = s.eng.AfterTag(s.tickInterval, eventTag{Kind: tagAuxTick})
+		_ = s.eng.AfterTag(s.tickInterval, engineTag{Kind: tagAuxTick})
 	}
 }
 
@@ -912,7 +907,7 @@ func (s *sim) onSample(now units.Seconds) {
 	s.sync(now)
 	s.sampler.Record(now, s.curWind, s.dc.Demand())
 	if s.moreWork() {
-		_ = s.eng.AfterTag(s.sampler.Interval, eventTag{Kind: tagSample})
+		_ = s.eng.AfterTag(s.sampler.Interval, engineTag{Kind: tagSample})
 	}
 }
 
@@ -924,7 +919,7 @@ func (s *sim) onSample(now units.Seconds) {
 // unchecked run and push the floats off bit-identity.
 func (s *sim) onCheckpointTick(now units.Seconds) {
 	if s.moreWork() {
-		_ = s.eng.AfterTag(s.cfg.Checkpoint.Every, eventTag{Kind: tagCheckpoint})
+		_ = s.eng.AfterTag(s.cfg.Checkpoint.Every, engineTag{Kind: tagCheckpoint})
 	}
 	s.emitCheckpoint()
 }
@@ -1405,7 +1400,7 @@ func (s *sim) chooseLevel(id int, j *workload.Job, maxTime units.Seconds, abunda
 // scheduleCompletion arms the completion event for a running slice,
 // guarded by the slice's generation so level changes invalidate it.
 func (s *sim) scheduleCompletion(sl *cluster.Slice) {
-	_ = s.eng.ScheduleTag(sl.Finish, eventTag{Kind: tagCompletion, A: int32(sl.Serial), B: int32(sl.Gen)})
+	_ = s.eng.ScheduleTag(sl.Finish, engineTag{Kind: tagCompletion, A: int32(sl.Serial), B: int32(sl.Gen)})
 	if s.faults != nil {
 		s.armFalsePass(sl)
 	}
@@ -1595,7 +1590,7 @@ func (s *sim) maybeProfile(now units.Seconds) {
 		}
 		s.scanState[id] = 1
 		limit--
-		_ = s.eng.AfterTag(s.scanDur, eventTag{Kind: tagFinishScan, A: int32(id)})
+		_ = s.eng.AfterTag(s.scanDur, engineTag{Kind: tagFinishScan, A: int32(id)})
 	}
 }
 

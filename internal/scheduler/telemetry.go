@@ -149,7 +149,7 @@ func (s *sim) onTelemetry(now units.Seconds) {
 	}
 
 	if s.moreWork() {
-		_ = s.eng.AfterTag(t.spec.SampleInterval, eventTag{Kind: tagTelemetry})
+		_ = s.eng.AfterTag(t.spec.SampleInterval, engineTag{Kind: tagTelemetry})
 	}
 }
 

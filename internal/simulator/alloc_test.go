@@ -6,15 +6,14 @@ import (
 	"iscope/internal/units"
 )
 
-// TestCalendarPushPopAllocFree pins the queue's steady state: once the
+// TestQueuePushPopAllocFree pins the queue's steady state: once the
 // run and the heap have reached capacity, scheduling and draining must
 // not touch the heap. The schedule order is deliberately descending:
 // the first push starts the run and every later one sorts before its
 // tail, so each cycle exercises the heap's sift-up and sift-down as
 // well as the run.
-func TestCalendarPushPopAllocFree(t *testing.T) {
-	e := NewWithCapacity[int](64, 64)
-	e.SetDispatcher(func(tag int, now units.Seconds) {})
+func TestQueuePushPopAllocFree(t *testing.T) {
+	e := NewWithCapacity(discard, 64, 64)
 
 	cycle := func() {
 		base := e.Now()
@@ -41,8 +40,7 @@ func TestCalendarPushPopAllocFree(t *testing.T) {
 // shared-timestamp pushes sort before its tail, so every cycle's big
 // batch spans the run and the heap.
 func TestStepBatchAllocFree(t *testing.T) {
-	e := NewWithCapacity[int](64, 64)
-	e.SetDispatcher(func(tag int, now units.Seconds) {})
+	e := NewWithCapacity(discard, 64, 64)
 
 	spans := false
 	cycle := func() {
@@ -77,14 +75,14 @@ func TestStepBatchAllocFree(t *testing.T) {
 // capacity and steady state allocates nothing.
 func TestRunCompactionAllocFree(t *testing.T) {
 	const live = 48
-	e := NewWithCapacity[int](live, 0)
 	next := units.Seconds(0)
-	e.SetDispatcher(func(tag int, now units.Seconds) {
+	var e *Engine[int]
+	e = NewWithCapacity(func(tag int, now units.Seconds) {
 		next++
 		if err := e.ScheduleTag(next, tag); err != nil {
 			t.Fatal(err)
 		}
-	})
+	}, live, 0)
 	for i := 0; i < live; i++ {
 		next++
 		if err := e.ScheduleTag(next, i); err != nil {

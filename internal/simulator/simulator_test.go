@@ -4,19 +4,29 @@ import (
 	"sort"
 	"testing"
 	"testing/quick"
+	"unsafe"
 
 	"iscope/internal/units"
 )
 
+// drain fires events until the queue is empty.
+func drain[T any](e *Engine[T]) {
+	for e.Step() {
+	}
+}
+
+// discard is a dispatcher that ignores every event.
+func discard(int, units.Seconds) {}
+
 func TestEventsFireInTimeOrder(t *testing.T) {
-	e := New[int]()
 	var got []units.Seconds
+	e := New(func(_ int, now units.Seconds) { got = append(got, now) })
 	for _, at := range []units.Seconds{50, 10, 30, 20, 40} {
-		if err := e.Schedule(at, func(now units.Seconds) { got = append(got, now) }); err != nil {
+		if err := e.ScheduleTag(at, 0); err != nil {
 			t.Fatal(err)
 		}
 	}
-	e.Run()
+	drain(e)
 	if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 		t.Fatalf("events fired out of order: %v", got)
 	}
@@ -29,13 +39,12 @@ func TestEventsFireInTimeOrder(t *testing.T) {
 }
 
 func TestTieBreakByInsertionOrder(t *testing.T) {
-	e := New[int]()
 	var got []int
+	e := New(func(tag int, _ units.Seconds) { got = append(got, tag) })
 	for i := 0; i < 10; i++ {
-		i := i
-		_ = e.Schedule(100, func(units.Seconds) { got = append(got, i) })
+		_ = e.ScheduleTag(100, i)
 	}
-	e.Run()
+	drain(e)
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("tie order = %v, want insertion order", got)
@@ -44,46 +53,48 @@ func TestTieBreakByInsertionOrder(t *testing.T) {
 }
 
 func TestScheduleInPastRejected(t *testing.T) {
-	e := New[int]()
-	_ = e.Schedule(100, func(units.Seconds) {})
-	e.Run()
-	if err := e.Schedule(50, func(units.Seconds) {}); err == nil {
+	e := New(discard)
+	_ = e.ScheduleTag(100, 0)
+	drain(e)
+	if err := e.ScheduleTag(50, 0); err == nil {
 		t.Fatal("expected error scheduling in the past")
 	}
-	if err := e.Schedule(100, nil); err == nil {
-		t.Fatal("expected error for nil callback")
-	}
-	if err := e.ScheduleTag(50, 0); err == nil {
-		t.Fatal("expected error scheduling tag in the past")
+	if err := e.AfterTag(-1, 0); err == nil {
+		t.Fatal("expected error scheduling a negative delay")
 	}
 }
 
 func TestScheduleAtNowAllowed(t *testing.T) {
-	e := New[int]()
 	fired := false
-	_ = e.Schedule(10, func(now units.Seconds) {
-		if err := e.Schedule(now, func(units.Seconds) { fired = true }); err != nil {
+	var e *Engine[int]
+	e = New(func(tag int, now units.Seconds) {
+		if tag == 1 {
+			fired = true
+			return
+		}
+		if err := e.ScheduleTag(now, 1); err != nil {
 			t.Errorf("scheduling at now failed: %v", err)
 		}
 	})
-	e.Run()
+	_ = e.ScheduleTag(10, 0)
+	drain(e)
 	if !fired {
 		t.Fatal("same-time follow-up event never fired")
 	}
 }
 
+// A handler can schedule follow-up events from inside its dispatch.
 func TestCallbacksCanScheduleMore(t *testing.T) {
-	e := New[int]()
 	count := 0
-	var tick Callback
-	tick = func(now units.Seconds) {
+	var e *Engine[int]
+	e = New(func(int, units.Seconds) {
 		count++
 		if count < 100 {
-			_ = e.After(10, tick)
+			_ = e.AfterTag(10, 0)
 		}
-	}
-	_ = e.Schedule(0, tick)
-	e.Run()
+	})
+	_ = e.ScheduleTag(0, 0)
+	drain(e)
 	if count != 100 {
 		t.Fatalf("chain fired %d times, want 100", count)
 	}
@@ -92,41 +103,8 @@ func TestCallbacksCanScheduleMore(t *testing.T) {
 	}
 }
 
-func TestRunUntil(t *testing.T) {
-	e := New[int]()
-	var fired []units.Seconds
-	for _, at := range []units.Seconds{10, 20, 30, 40} {
-		at := at
-		_ = e.Schedule(at, func(now units.Seconds) { fired = append(fired, now) })
-	}
-	e.RunUntil(25)
-	if len(fired) != 2 {
-		t.Fatalf("RunUntil(25) fired %d events, want 2", len(fired))
-	}
-	if e.Now() != 25 {
-		t.Fatalf("clock = %v, want 25", e.Now())
-	}
-	if e.Pending() != 2 {
-		t.Fatalf("pending = %d, want 2", e.Pending())
-	}
-	e.Run()
-	if len(fired) != 4 {
-		t.Fatalf("total fired = %d, want 4", len(fired))
-	}
-}
-
-func TestRunUntilDoesNotRewindClock(t *testing.T) {
-	e := New[int]()
-	_ = e.Schedule(100, func(units.Seconds) {})
-	e.Run()
-	e.RunUntil(50)
-	if e.Now() != 100 {
-		t.Fatalf("RunUntil rewound the clock to %v", e.Now())
-	}
-}
-
 func TestStepOnEmpty(t *testing.T) {
-	e := New[int]()
+	e := New(discard)
 	if e.Step() {
 		t.Fatal("Step on empty queue returned true")
 	}
@@ -135,12 +113,12 @@ func TestStepOnEmpty(t *testing.T) {
 func TestDeterministicReplayProperty(t *testing.T) {
 	f := func(delays []uint16) bool {
 		run := func() []units.Seconds {
-			e := New[int]()
 			var got []units.Seconds
+			e := New(func(_ int, now units.Seconds) { got = append(got, now) })
 			for _, d := range delays {
-				_ = e.Schedule(units.Seconds(d), func(now units.Seconds) { got = append(got, now) })
+				_ = e.ScheduleTag(units.Seconds(d), 0)
 			}
-			e.Run()
+			drain(e)
 			return got
 		}
 		a, b := run(), run()
@@ -160,62 +138,29 @@ func TestDeterministicReplayProperty(t *testing.T) {
 }
 
 func TestHeavyLoad(t *testing.T) {
-	e := New[int]()
 	const n = 100000
 	count := 0
+	e := New(func(int, units.Seconds) { count++ })
 	for i := 0; i < n; i++ {
-		_ = e.Schedule(units.Seconds(i%997), func(units.Seconds) { count++ })
+		_ = e.ScheduleTag(units.Seconds(i%997), i)
 	}
-	e.Run()
+	drain(e)
 	if count != n {
 		t.Fatalf("fired %d, want %d", count, n)
 	}
 }
 
-// Tag events route through the dispatcher and interleave with closure
-// events in strict (at, seq) order.
-func TestTagDispatchInterleavesWithClosures(t *testing.T) {
-	e := New[int]()
-	var got []int
-	e.SetDispatcher(func(tag int, now units.Seconds) { got = append(got, tag) })
-	_ = e.ScheduleTag(10, 1)
-	_ = e.Schedule(10, func(units.Seconds) { got = append(got, 2) })
-	_ = e.ScheduleTag(10, 3)
-	_ = e.ScheduleTag(5, 0)
-	e.Run()
-	want := []int{0, 1, 2, 3}
-	if len(got) != len(want) {
-		t.Fatalf("fired %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("fired %v, want %v", got, want)
-		}
-	}
-}
-
-func TestTagEventWithoutDispatcherPanics(t *testing.T) {
-	e := New[int]()
-	_ = e.ScheduleTag(1, 7)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic firing tag event with no dispatcher")
-		}
-	}()
-	e.Step()
-}
-
 func TestAfterTag(t *testing.T) {
-	e := New[string]()
 	var got []string
-	e.SetDispatcher(func(tag string, now units.Seconds) {
+	var e *Engine[string]
+	e = New(func(tag string, now units.Seconds) {
 		got = append(got, tag)
 		if tag == "a" {
 			_ = e.AfterTag(5, "b")
 		}
 	})
 	_ = e.AfterTag(10, "a")
-	e.Run()
+	drain(e)
 	if len(got) != 2 || got[0] != "a" || got[1] != "b" {
 		t.Fatalf("got %v, want [a b]", got)
 	}
@@ -224,36 +169,29 @@ func TestAfterTag(t *testing.T) {
 	}
 }
 
-// PendingEvents reports tags in firing order and flags closure events,
-// whose callbacks cannot be serialized.
+// PendingEvents reports every event's time, seq and tag in firing
+// order.
 func TestPendingEventsSnapshot(t *testing.T) {
-	e := New[int]()
-	e.SetDispatcher(func(int, units.Seconds) {})
+	e := New(discard)
 	_ = e.ScheduleTag(30, 3)
 	_ = e.ScheduleTag(10, 1)
-	_ = e.Schedule(20, func(units.Seconds) {})
+	_ = e.ScheduleTag(20, 2)
 	evs := e.PendingEvents()
 	if len(evs) != 3 {
 		t.Fatalf("len = %d, want 3", len(evs))
 	}
-	if evs[0].Tag != 1 || evs[0].Closure {
-		t.Fatalf("evs[0] = %+v, want tag 1, non-closure", evs[0])
-	}
-	if !evs[1].Closure {
-		t.Fatalf("evs[1] = %+v, want closure", evs[1])
-	}
-	if evs[2].Tag != 3 || evs[2].At != 30 {
-		t.Fatalf("evs[2] = %+v, want tag 3 at 30", evs[2])
+	for i, want := range []PendingEvent[int]{{At: 10, Seq: 2, Tag: 1}, {At: 20, Seq: 3, Tag: 2}, {At: 30, Seq: 1, Tag: 3}} {
+		if evs[i] != want {
+			t.Fatalf("evs[%d] = %+v, want %+v", i, evs[i], want)
+		}
 	}
 }
 
 // Reset + InjectTag restore a queue with original sequence numbers, and
 // freshly scheduled events sort after restored ones at equal times.
 func TestResetAndInjectTag(t *testing.T) {
-	e := New[int]()
-	e.SetDispatcher(func(int, units.Seconds) {})
 	var got []int
-	e.SetDispatcher(func(tag int, now units.Seconds) { got = append(got, tag) })
+	e := New(func(tag int, now units.Seconds) { got = append(got, tag) })
 	e.Reset(100, 50)
 	if err := e.InjectTag(90, 10, 1); err == nil {
 		t.Fatal("expected error injecting before now")
@@ -267,7 +205,7 @@ func TestResetAndInjectTag(t *testing.T) {
 	if err := e.ScheduleTag(200, 2); err != nil { // gets seq 51 > 10
 		t.Fatal(err)
 	}
-	e.Run()
+	drain(e)
 	if len(got) != 2 || got[0] != 1 || got[1] != 2 {
 		t.Fatalf("fired %v, want [1 2]", got)
 	}
@@ -280,9 +218,8 @@ func TestResetAndInjectTag(t *testing.T) {
 // tie-break before everything scheduled after the skip, and the
 // counter itself keeps issuing above the band.
 func TestSkipToReservesSeqBand(t *testing.T) {
-	e := New[int]()
 	var got []int
-	e.SetDispatcher(func(tag int, now units.Seconds) { got = append(got, tag) })
+	e := New(func(tag int, now units.Seconds) { got = append(got, tag) })
 	const band = 1 << 20
 	e.SkipTo(band)
 	if e.Seq() != band {
@@ -299,7 +236,7 @@ func TestSkipToReservesSeqBand(t *testing.T) {
 	if err := e.InjectTag(10, 2, 2); err != nil {
 		t.Fatal(err)
 	}
-	e.Run()
+	drain(e)
 	want := []int{1, 2, 100}
 	if len(got) != len(want) {
 		t.Fatalf("fired %v, want %v", got, want)
@@ -317,8 +254,7 @@ func TestSkipToReservesSeqBand(t *testing.T) {
 }
 
 func TestPeekNext(t *testing.T) {
-	e := New[int]()
-	e.SetDispatcher(func(int, units.Seconds) {})
+	e := New(discard)
 	if _, _, ok := e.PeekNext(); ok {
 		t.Fatal("PeekNext on empty queue reported an event")
 	}
@@ -344,7 +280,7 @@ func TestPeekNext(t *testing.T) {
 // each push took.
 func TestHeapOrderProperty(t *testing.T) {
 	f := func(ats []uint8) bool {
-		e := New[int]()
+		e := New(discard)
 		type key struct {
 			at  units.Seconds
 			seq uint64
@@ -381,10 +317,22 @@ func TestHeapOrderProperty(t *testing.T) {
 	}
 }
 
+// A node is its 16-byte (at, seq) key and its tag, with no padding
+// beside an 8-byte-aligned tag, so every sift and batch copy moves only
+// what the order and the dispatcher need.
+func TestNodeSize(t *testing.T) {
+	type pair struct{ a, b int64 }
+	if got, want := unsafe.Sizeof(node[pair]{}), 16+unsafe.Sizeof(pair{}); got != want {
+		t.Errorf("node with a %d-byte tag is %d bytes, want %d", unsafe.Sizeof(pair{}), got, want)
+	}
+	if got, want := unsafe.Sizeof(node[int]{}), 16+unsafe.Sizeof(int(0)); got != want {
+		t.Errorf("node with an int tag is %d bytes, want %d", got, want)
+	}
+}
+
 // Tag scheduling on a warmed engine allocates nothing.
 func TestScheduleTagAllocFree(t *testing.T) {
-	e := NewWithCapacity[int](64, 64)
-	e.SetDispatcher(func(int, units.Seconds) {})
+	e := NewWithCapacity(discard, 64, 64)
 	allocs := testing.AllocsPerRun(1000, func() {
 		for i := 0; i < 32; i++ {
 			_ = e.ScheduleTag(e.Now()+1, i)
@@ -399,8 +347,7 @@ func TestScheduleTagAllocFree(t *testing.T) {
 }
 
 func BenchmarkScheduleAndStep(b *testing.B) {
-	e := NewWithCapacity[int](1024, 1024)
-	e.SetDispatcher(func(int, units.Seconds) {})
+	e := NewWithCapacity(discard, 1024, 1024)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = e.ScheduleTag(e.Now()+units.Seconds(i%97), i)
@@ -408,5 +355,5 @@ func BenchmarkScheduleAndStep(b *testing.B) {
 			e.Step()
 		}
 	}
-	e.Run()
+	drain(e)
 }
