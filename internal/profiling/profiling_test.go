@@ -278,7 +278,7 @@ func TestConfigValidation(t *testing.T) {
 		{Kind: Stress, VoltagePoints: 0, VoltageStep: 0.01, TestPower: 115},
 		{Kind: Stress, VoltagePoints: 10, VoltageStep: 0, TestPower: 115},
 		{Kind: Stress, VoltagePoints: 10, VoltageStep: 0.01, TestPower: 0},
-		{Kind: Stress, VoltagePoints: 10, VoltageStep: 0.01, TestPower: 115, DomainSize: -1},
+		{Kind: Stress, VoltagePoints: 10, VoltageStep: 0.01, TestPower: 115, Workers: -1},
 	}
 	for i, cfg := range bad {
 		if _, err := NewScanner(cfg, tester, tbl, NewDB(1, tbl.NumLevels())); err == nil {

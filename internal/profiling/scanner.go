@@ -28,15 +28,8 @@ type Config struct {
 	// implements the on-demand profiling optimization of Section III.C
 	// (skip unused features, gaining margin).
 	GPUOn bool
-	// DomainSize is the number of chips per profiling domain — scanned
-	// concurrently under one master. Historically it also doubled as
-	// ScanFleet's worker count; that fallback is kept for compatibility
-	// (see Workers). Zero means GOMAXPROCS.
-	DomainSize int
 	// Workers is the number of goroutines ScanFleet fans chips out
-	// over. Zero falls back to DomainSize (the historical behavior:
-	// one worker per profiling domain), and when that is also zero,
-	// to GOMAXPROCS.
+	// over. Zero means GOMAXPROCS.
 	Workers int
 }
 
@@ -60,8 +53,6 @@ func (c Config) Validate() error {
 		return fmt.Errorf("profiling: VoltageStep must be positive")
 	case c.TestPower <= 0:
 		return fmt.Errorf("profiling: TestPower must be positive")
-	case c.DomainSize < 0:
-		return fmt.Errorf("profiling: DomainSize must be >= 0")
 	case c.Workers < 0:
 		return fmt.Errorf("profiling: Workers must be >= 0")
 	}
@@ -166,20 +157,16 @@ func (s *Scanner) cost(points int) (units.Seconds, units.Joules) {
 // workers stay balanced.
 const scanChunk = 64
 
-// ScanFleet profiles the given chips, parallelized across profiling
-// domains (worker goroutines) in fixed chunks of chips. Results land in
-// the DB; the report aggregates cost, summed in the order of ids, so it
-// equals the sum of serial ScanChip reports. The DB records and the
-// report are the same at every worker count, noisy testers included:
-// each chip draws from its own noise stream.
+// ScanFleet profiles the given chips on Workers goroutines, in fixed
+// chunks of chips. Results land in the DB; the report aggregates cost,
+// summed in the order of ids, so it equals the sum of serial ScanChip
+// reports. The DB records and the report are the same at every worker
+// count, noisy testers included: each chip draws from its own noise
+// stream.
 func (s *Scanner) ScanFleet(ids []int, now units.Seconds) FleetReport {
-	workers := s.cfg.Workers
-	if workers <= 0 {
-		workers = s.cfg.DomainSize
-	}
 	points := make([]int, len(ids))
 	chunks := (len(ids) + scanChunk - 1) / scanChunk
-	pool.Feed(nil, pool.Workers(workers, chunks), chunks, func(c int) {
+	pool.Feed(nil, pool.Workers(s.cfg.Workers, chunks), chunks, func(c int) {
 		lo := c * scanChunk
 		hi := min(lo+scanChunk, len(ids))
 		minVdd := make([]units.Volts, s.tbl.NumLevels())

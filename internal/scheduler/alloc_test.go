@@ -57,14 +57,15 @@ type allocKernel struct {
 
 // allocKernels lists the per-event kernels of a warm sim: placement,
 // both directions of the matching sort, rebalance, the end-of-run
-// statistics, and the fair and efficiency orders' refresh paths. The
-// kernels reuse sim-owned scratch, so once warm they must not allocate.
+// statistics, a full fair pass drained whole and the efficiency
+// order's re-sort. The kernels reuse sim-owned scratch, so once warm
+// they must not allocate.
 func allocKernels(s *sim) []allocKernel {
 	now := s.eng.Now()
 	j := s.states[len(s.states)-1].job
+	order := make([]int, 0, len(s.dc.Procs))
 	return []allocKernel{
 		{"selectProcs", func() {
-			s.fairValid = false // force a fresh fair pass every call
 			_ = s.selectProcs(j, now)
 		}},
 		{"match(deficit)", func() {
@@ -76,18 +77,18 @@ func allocKernels(s *sim) []allocKernel {
 			_ = s.match(now)
 		}},
 		{"rebalance", func() {
-			s.fairValid = false
 			s.rebalance(now)
 		}},
 		{"qualityMetrics", func() {
 			_, _, _ = s.qualityMetrics()
 		}},
-		{"leastUsedOrder", func() {
-			s.fairValid = false
-			_ = s.leastUsedOrder(now)
+		{"fairPass(full)", func() {
+			s.fair.listsOK = false // rebuild the lists every call
+			order = drainFair(order[:0], s, now)
 		}},
-		{"refreshEffOrder", func() {
-			s.refreshEffOrder()
+		{"efficiencyOrder(resort)", func() {
+			s.profilesDirty = true
+			_ = s.efficiencyOrder()
 		}},
 	}
 }
@@ -120,17 +121,16 @@ func TestQualityMetricsAllocFree(t *testing.T) {
 	measureKernels(t, "qualityMetrics")
 }
 
-// TestLeastUsedOrderAllocFree pins the fair order's refresh path, the
-// single hottest sort in the profile of the seed implementation, and
-// the efficiency order's re-sort, the other static-order hot path.
+// TestLeastUsedOrderAllocFree pins the least-used order's full pass,
+// the single hottest sort in the profile of the seed implementation,
+// and the efficiency order's re-sort, the other static-order hot path.
 func TestLeastUsedOrderAllocFree(t *testing.T) {
-	measureKernels(t, "leastUsedOrder", "refreshEffOrder")
+	measureKernels(t, "fairPass(full)", "efficiencyOrder(resort)")
 }
 
 // TestFairRepairAllocFree pins the dirty-set repair paths the
 // incremental order maintenance runs between full rebuilds: a fair
-// order repaired around one dirtied processor, an efficiency
-// order repaired around one re-ranked chip, and a slack order
+// order repaired around one dirtied processor, and a slack order
 // re-derived across a deficit/surplus direction flip. Each is the
 // steady-state fast path at million-processor scale, so per-call
 // growth here is a scaling regression even when the full rebuilds stay
@@ -153,6 +153,7 @@ func TestFairRepairAllocFree(t *testing.T) {
 		}
 	}
 	now := s.eng.Now()
+	order := make([]int, 0, len(s.dc.Procs))
 	fairRepair := func() {
 		// The same-instant preempt/enqueue round-trip leaves the
 		// cluster unchanged but fair-dirties one processor, so
@@ -160,20 +161,11 @@ func TestFairRepairAllocFree(t *testing.T) {
 		if sl := s.dc.Preempt(busy, now); sl != nil {
 			s.dc.Enqueue(sl, now)
 		}
-		s.fairValid = false
-		_ = s.leastUsedOrder(now)
+		order = drainFair(order[:0], s, now)
 	}
 	fairRepair() // warm: the full rebuild sizes the lists
 	fairRepair() // warm: the first repair sizes the patch scratch
 	measure(t, "fairPass(repair)", fairRepair)
-
-	effRepair := func() {
-		s.markEffDirty(3)
-		s.refreshEffOrder()
-	}
-	effRepair()
-	effRepair()
-	measure(t, "repairEffOrder", effRepair)
 
 	slackFlip := func() {
 		_ = s.sortRunningBySlack(now, true)
@@ -255,8 +247,8 @@ func settledGoroutines() int {
 // once warm, driving the simulation through ProcessEventBatch-sized
 // engine calls must allocate no more than the single-step loop it
 // replaced (the handlers themselves own any event scheduling, which
-// reuses pooled nodes). The engine-internal batch buffer is guarded
-// separately in internal/simulator.
+// reuses pooled nodes). The engine's own dispatch is guarded separately
+// in internal/simulator.
 func TestBatchDispatchAllocFree(t *testing.T) {
 	s := warmSim(t)
 	// Steady state: each call fires at most one same-timestamp batch.
@@ -276,7 +268,7 @@ func TestBatchDispatchAllocFree(t *testing.T) {
 
 // TestEngineTagSize pins the engine tag at 16 bytes: with the engine's
 // 16-byte (at, seq) key (TestNodeSize in internal/simulator) a queue
-// node is 32 bytes, so every sift and batch copy stays short.
+// node is 32 bytes, so every sift copy stays short.
 func TestEngineTagSize(t *testing.T) {
 	if got := unsafe.Sizeof(engineTag{}); got != 16 {
 		t.Fatalf("engineTag is %d bytes, want 16", got)

@@ -181,7 +181,6 @@ func (s *sim) brownoutShed(now units.Seconds) {
 				b.parkedAt[id] = now
 				b.stats.ProcsParked++
 			}
-			s.fairValid = false
 		}
 	}
 }
@@ -207,7 +206,6 @@ func (s *sim) brownoutReleaseParked(now units.Seconds, stage brownout.Stage) {
 		if forced && stage >= brownout.StageShed {
 			b.stats.ForcedReleases++
 		}
-		s.fairValid = false
 	}
 }
 

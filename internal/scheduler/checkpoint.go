@@ -560,14 +560,9 @@ func (s *sim) restore(data []byte) error {
 	s.workDone = snap.WorkDone
 	s.slicesDone = snap.SlicesDone
 	s.sliceSeq = snap.SliceSeq
-	s.fairValid = false
-	// The snapshot carries dirty *flags* but not the dirty id sets the
-	// incremental order repairs consume, so every retained order cache
-	// is stale: force full rebuilds on first use. (RestoreState already
-	// raised the cluster's fair-dirty overflow, which rebuilds the fair
-	// order; these cover the scheduler-side efficiency and slack caches.)
-	s.effCacheOK = false
-	s.resetEffDirty()
+	// The derived orders need no reset: RestoreState raised the
+	// cluster's fair-dirty overflow, so the fair lists rebuild on first
+	// use, and rebuildSerialIndex dropped the slack order.
 
 	if s.onlineActive {
 		if len(snap.ScanState) != len(s.scanState) {
@@ -692,6 +687,7 @@ func (s *sim) restore(data []byte) error {
 		return nil
 	}
 	ckptRestored := false
+	arriving := make([]bool, len(snap.Injected)) // by injected-job index
 	for _, ev := range snap.Events {
 		keep, err := s.validateTag(ev.Tag)
 		if err != nil {
@@ -704,6 +700,17 @@ func (s *sim) restore(data []byte) error {
 			return err
 		}
 		switch ev.Tag.Kind {
+		case tagArrival:
+			// injectArrival queues a job's arrival once, at its submit
+			// time with sequence number index+1.
+			idx := int(ev.Tag.A)
+			if sub := s.states[idx].job.Submit; ev.At != sub || ev.Seq != uint64(idx)+1 {
+				return fmt.Errorf("scheduler: resume: event at t=%v: arrival of injected job %d with seq %d, due at its submit time %v with seq %d", ev.At, idx, ev.Seq, sub, idx+1)
+			}
+			if arriving[idx-len(trace)] {
+				return fmt.Errorf("scheduler: resume: event at t=%v: second arrival for injected job %d", ev.At, idx)
+			}
+			arriving[idx-len(trace)] = true
 		case tagCheckpoint:
 			ckptRestored = true
 		case tagReprofiled:
@@ -715,6 +722,32 @@ func (s *sim) restore(data []byte) error {
 	}
 	if err := arriveBefore(units.Seconds(math.Inf(1)), math.MaxUint64); err != nil {
 		return err
+	}
+	// Every job that has not arrived waits on exactly one pending
+	// arrival: a trace job from TraceNext on, an injected job through
+	// its event. A job has arrived once it was placed, so slices of it
+	// remain or it finished, or once brownout holds it deferred. A job
+	// with neither would never arrive, and the run would never finish;
+	// one with both would arrive twice.
+	held := make([]bool, len(s.states))
+	if s.brown != nil {
+		for _, d := range s.brown.deferred {
+			held[d.idx] = true
+		}
+	}
+	for idx := range s.states {
+		st := &s.states[idx]
+		arrived := st.remaining > 0 || st.finish != 0 || held[idx]
+		pending := idx >= snap.TraceNext
+		if idx >= len(trace) {
+			pending = arriving[idx-len(trace)]
+		}
+		switch {
+		case arrived && pending:
+			return fmt.Errorf("scheduler: resume: job %d has already arrived but has a pending arrival", idx)
+		case !arrived && !pending:
+			return fmt.Errorf("scheduler: resume: job %d has neither arrived nor a pending arrival", idx)
+		}
 	}
 	// The resumed run may enable checkpointing even when the snapshot
 	// holds no pending tick (the original run checkpointed only on

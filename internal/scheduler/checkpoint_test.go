@@ -432,25 +432,36 @@ func TestResumeRejectsCorruptSnapshots(t *testing.T) {
 // queue holds a re-profile with its false-pass payload, and its fault
 // plan has battery-fade events that no battery observes. "bare" runs
 // the same trace with online profiling but no wind, faults, telemetry
-// or sampler.
+// or sampler. "stream" is the golden streaming run, whose jobs are all
+// injected: some have arrived and some arrivals are still pending.
 func TestResumeRejectsMalformedEvents(t *testing.T) {
 	fleet := testFleet(t, 32)
 	jobs := testJobs(t, 51, 120, 0.3)
-	sch, _ := SchemeByName("ScanFair")
+	w := testWind(t, fleet, 52)
+	schemes := map[string]string{"rich": "ScanFair", "bare": "ScanFair", "stream": "ScanEffi"}
 	ckpt := &CheckpointConfig{Every: units.Hours(3), Sink: func([]byte) error { return nil }}
 	configs := map[string]RunConfig{
-		"rich": {Seed: 3, Jobs: jobs, Wind: testWind(t, fleet, 52), EnableRebalance: true,
+		"rich": {Seed: 3, Jobs: jobs, Wind: w, EnableRebalance: true,
 			Faults: testgrid.DenseFaults(), Telemetry: testgrid.HostileTelemetry(7), Checkpoint: ckpt},
-		"bare": {Seed: 3, Jobs: jobs, Online: &OnlineProfiling{}, Checkpoint: ckpt},
+		"bare":   {Seed: 3, Jobs: jobs, Online: &OnlineProfiling{}, Checkpoint: ckpt},
+		"stream": {Seed: 4, Wind: w, Telemetry: testgrid.HostileTelemetry(8)},
+	}
+	stepper := func(name string, cfg RunConfig) (*Stepper, error) {
+		sch, _ := SchemeByName(schemes[name])
+		return NewStepper(fleet, sch, cfg)
 	}
 	snaps := map[string]runSnapshot{}
 	fade, unscanned := -1, -1
 	for name, cfg := range configs {
-		st, err := NewStepper(fleet, sch, cfg)
+		st, err := stepper(name, cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
-		st.Seal()
+		if cfg.Jobs == nil {
+			feed(t, st, jobs.Jobs, digestSnapInstant)
+		} else {
+			st.Seal()
+		}
 		batchTo(t, st, digestSnapInstant)
 		data, err := st.Snapshot()
 		if err != nil {
@@ -473,6 +484,10 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		t.Fatalf("no pending re-profile (%d), battery-fade plan event (%d) or processor outside a scan (%d)", reprofile, fade, unscanned)
 	}
 	pending := snaps["rich"].Events[reprofile].Tag
+	arrival := slices.IndexFunc(snaps["stream"].Events, func(ev snapEvent) bool { return ev.Tag.Kind == tagArrival })
+	if first := snaps["stream"].Jobs[0]; arrival < 0 || first.Remaining == 0 && first.Finish == 0 {
+		t.Fatalf("the stream snapshot holds no pending arrival (%d) or injected job 0 has not arrived (%+v)", arrival, first)
+	}
 
 	// resume re-encodes snapshot name after edit and resumes from it.
 	resume := func(name string, edit func(*runSnapshot)) error {
@@ -485,7 +500,7 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		}
 		cfg := configs[name]
 		cfg.Resume = data
-		_, err = NewStepper(fleet, sch, cfg)
+		_, err = stepper(name, cfg)
 		return err
 	}
 	// add appends one event at the snapshot's instant under a fresh
@@ -496,6 +511,25 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 			snap.Events = append(snap.Events, snapEvent{At: snap.Now, Seq: snap.Seq, Tag: tag})
 		}
 	}
+	// arrivalEdit rewrites, or with nil appends a copy of, the stream
+	// snapshot's pending arrival.
+	arrivalEdit := func(edit func(*snapEvent)) func(*runSnapshot) {
+		return func(snap *runSnapshot) {
+			if edit == nil {
+				snap.Events = append(snap.Events, snap.Events[arrival])
+				return
+			}
+			edit(&snap.Events[arrival])
+		}
+	}
+	dropArrival := func(snap *runSnapshot) { snap.Events = slices.Delete(snap.Events, arrival, arrival+1) }
+	// finishArrivingJob marks the job of the stream snapshot's pending
+	// arrival finished.
+	finishArrivingJob := func(snap *runSnapshot) {
+		snap.Jobs = slices.Clone(snap.Jobs)
+		snap.Jobs[snap.Events[arrival].Tag.A].Finish = snap.Now
+	}
+	traceCursorPast := func(snap *runSnapshot) { snap.TraceNext++ }
 	// payload rewrites the pending re-profile.
 	payload := func(edit func(*eventTag)) func(*runSnapshot) {
 		return func(snap *runSnapshot) { edit(&snap.Events[reprofile].Tag) }
@@ -529,6 +563,13 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		{"reprofile without faults", "bare", add(eventTag{Kind: tagReprofiled, FPDrift: 0.5}), "reprofile event with fault injection disabled"},
 		{"arrival of a trace job", "rich", add(eventTag{Kind: tagArrival, A: 0}), "not an injected job's"},
 		{"arrival past the job set", "rich", add(eventTag{Kind: tagArrival, A: 120}), "not an injected job's"},
+		{"arrival of an arrived injected job", "stream", add(eventTag{Kind: tagArrival, A: 0}), "arrival of injected job 0 with seq"},
+		{"pending arrival of a finished injected job", "stream", finishArrivingJob, "has already arrived but has a pending arrival"},
+		{"second arrival of one injected job", "stream", arrivalEdit(nil), "second arrival for injected job"},
+		{"injected job without its pending arrival", "stream", dropArrival, "neither arrived nor a pending arrival"},
+		{"trace cursor past a pending arrival", "rich", traceCursorPast, "neither arrived nor a pending arrival"},
+		{"arrival after its submit time", "stream", arrivalEdit(func(ev *snapEvent) { ev.At += 3600 }), "due at its submit time"},
+		{"arrival outside its sequence slot", "stream", arrivalEdit(func(ev *snapEvent) { ev.Seq++ }), "due at its submit time"},
 		{"wind tick without wind", "bare", add(eventTag{Kind: tagWindTick}), "wind tick in a utility-only run"},
 		{"sampler tick without sampling", "rich", add(eventTag{Kind: tagSample}), "sampling disabled"},
 		{"telemetry tick without telemetry", "bare", add(eventTag{Kind: tagTelemetry}), "telemetry disabled"},

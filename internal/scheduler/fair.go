@@ -168,20 +168,25 @@ type fairState struct {
 	now, margin units.Seconds
 }
 
-// pass begins a pass at now: rebuild on first use or dirty overflow,
-// repair around the dirty ids otherwise, and rewind the cursors.
-// Caller (ensureFairPass) handles the pass cache and the dirty-feed
-// reset.
-func (f *fairState) pass(dc *cluster.Datacenter, now units.Seconds, dirty []int32, overflow bool) {
+// pass begins the pass one placement consumes, at now. It folds the
+// cluster's fair-dirty feed into the lists — rebuild on first use or
+// dirty overflow, repair around the dirty ids otherwise — resets the
+// feed and rewinds the cursors. Idle keys live in the lists, but a busy
+// key is computed from the cluster's utilTime and busySince only when
+// emission reaches it, so the emitted order is exact only while the
+// cluster holds still. It does: selectProcs mutates no cluster state
+// while it consumes the pass, and every placement begins its own.
+func (f *fairState) pass(dc *cluster.Datacenter, now units.Seconds) {
 	if f.fairVer == nil {
 		f.fairVer = make([]int32, len(dc.Procs))
 	}
 	f.now, f.margin = now, now*0x1p-49
-	if f.listsOK && !overflow {
+	if dirty, overflow := dc.FairDirty(); f.listsOK && !overflow {
 		f.repair(dc, dirty)
 	} else {
 		f.rebuild(dc)
 	}
+	dc.ResetFairDirty()
 	f.idle.mi, f.idle.ei, f.busy.mi, f.busy.ei = 0, 0, 0, 0
 	f.win, f.wi, f.keyed = f.win[:0], 0, 0
 }

@@ -75,8 +75,7 @@ func checkFairOrderRandomized(t *testing.T, fleet *Fleet, sch Scheme, jobs *work
 				s.dc.Enqueue(sl, now)
 			}
 		}
-		s.fairValid = false
-		got := s.leastUsedOrder(now)
+		got := drainFair(nil, s, now)
 		utilBuf = s.dc.UtilTimesInto(utilBuf[:0], now)
 		ref = ref[:0]
 		for id, u := range utilBuf {
@@ -117,12 +116,21 @@ func busySim(t *testing.T) *sim {
 	return s
 }
 
+// drainFair begins a fair pass at now, as a placement does, and appends
+// its whole order to dst.
+func drainFair(dst []int, s *sim, now units.Seconds) []int {
+	it := s.candidateIter(now, true)
+	for id, ok := it.next(); ok; id, ok = it.next() {
+		dst = append(dst, id)
+	}
+	return dst
+}
+
 // checkFairOrder drains a fresh fair pass at now and compares it with
 // the ground-truth (utilization, id) sort.
 func checkFairOrder(t *testing.T, s *sim, now units.Seconds, pass int) {
 	t.Helper()
-	s.fairValid = false
-	got := s.leastUsedOrder(now)
+	got := drainFair(nil, s, now)
 	ref := make([]utilKey, 0, len(s.dc.Procs))
 	for id, u := range s.dc.UtilTimes(now) {
 		ref = append(ref, utilKey{u: u, id: id})
@@ -234,19 +242,18 @@ func TestFairPassKeysConsumedPrefix(t *testing.T) {
 		if sl := s.dc.Preempt(pass*37%len(s.dc.Procs), now); sl != nil {
 			s.dc.Enqueue(sl, now)
 		}
-		s.fairValid = false
 		it := s.candidateIter(now, true)
+		emitted := 0
 		for i := 0; i < take; i++ {
-			if _, ok := it.next(); !ok {
+			id, ok := it.next()
+			if !ok {
 				break
 			}
-		}
-		keyed, overhang, emitted := s.fair.keyed, len(s.fair.win)-s.fair.wi, 0
-		for _, id := range s.fairOrder {
 			if s.dc.IsBusy(id) {
 				emitted++
 			}
 		}
+		keyed, overhang := s.fair.keyed, len(s.fair.win)-s.fair.wi
 		if keyed > emitted+overhang {
 			t.Errorf("pass %d (take %d): %d busy keys computed, want at most %d emitted + %d overhang",
 				pass, take, keyed, emitted, overhang)

@@ -170,7 +170,6 @@ func (s *sim) onCrash(id int, repair, now units.Seconds) {
 		return
 	}
 	s.sync(now)
-	s.fairValid = false
 	f := s.faults
 	f.stats.Crashes++
 	if pre := s.dc.Preempt(id, now); pre != nil {
@@ -188,7 +187,6 @@ func (s *sim) onCrash(id int, repair, now units.Seconds) {
 // queue head.
 func (s *sim) onRepaired(id int, now units.Seconds) {
 	s.sync(now)
-	s.fairValid = false
 	f := s.faults
 	if since := f.repairSince[id]; since >= 0 {
 		f.stats.RepairHours += float64(now-since) / 3600
@@ -268,7 +266,6 @@ func (s *sim) onMarginViolation(sl *cluster.Slice, gen, level int, now units.Sec
 		return
 	}
 	s.sync(now)
-	s.fairValid = false
 	f.stats.FalsePassTrips++
 	f.stats.ReExecutions++
 	f.stats.Requeues++
@@ -297,7 +294,6 @@ func (s *sim) onMarginViolation(sl *cluster.Slice, gen, level int, now units.Sec
 // now operates at the corrected true minimum plus the in-cloud guard.
 func (s *sim) onReprofiled(id int, now units.Seconds) {
 	s.sync(now)
-	s.fairValid = false
 	f := s.faults
 	fp := f.reprofiling[id]
 	delete(f.reprofiling, id)

@@ -76,28 +76,21 @@ func (s *sim) naiveSelectProcs(j *workload.Job, now units.Seconds) []placement {
 }
 
 // naiveLeastUsedOrder is the seed fair order: a fresh utilization slice
-// per refresh and a comparator that indexes it.
+// and order per call and a comparator that indexes them.
 func (s *sim) naiveLeastUsedOrder(now units.Seconds) []int {
-	if s.fairValid && s.fairOrderAt == now {
-		return s.fairOrder
-	}
 	utils := s.dc.UtilTimes(now)
-	if s.fairOrder == nil {
-		s.fairOrder = make([]int, len(utils))
+	order := make([]int, len(utils))
+	for i := range order {
+		order[i] = i
 	}
-	for i := range s.fairOrder {
-		s.fairOrder[i] = i
-	}
-	sort.Slice(s.fairOrder, func(a, b int) bool {
-		ua, ub := utils[s.fairOrder[a]], utils[s.fairOrder[b]]
+	sort.Slice(order, func(a, b int) bool {
+		ua, ub := utils[order[a]], utils[order[b]]
 		if ua != ub {
 			return ua < ub
 		}
-		return s.fairOrder[a] < s.fairOrder[b]
+		return order[a] < order[b]
 	})
-	s.fairOrderAt = now
-	s.fairValid = true
-	return s.fairOrder
+	return order
 }
 
 // naiveQualityMetrics is the seed statistics pass: a fresh slowdown

@@ -336,11 +336,6 @@ type sim struct {
 	// after the event loop drains.
 	ckptErr error
 
-	// fair-order cache, recomputed at most once per distinct time.
-	fairOrder   []int
-	fairOrderAt units.Seconds
-	fairValid   bool
-
 	// Scratch buffers reused across events; all steady-state
 	// allocation-free. takenMark is an epoch-stamped membership set
 	// (takenMark[id] == takenEpoch means taken this placement) that
@@ -358,19 +353,6 @@ type sim struct {
 	slowsBuf      []float64
 	permBuf       []int
 	effKeys       []effKey
-
-	// Incremental efficiency-order maintenance. effRank caches the last
-	// EffRank per processor and effPos its index in effPref; finishScan
-	// marks the one chip whose knowledge moved, and the refresh merges
-	// just those back instead of re-ranking the fleet.
-	effRank          []float64
-	effPos           []int32
-	effPref2         []int
-	effPatch         []effKey
-	effDirty         []int32
-	effDirtyMark     []bool
-	effDirtyOverflow bool
-	effCacheOK       bool
 
 	// Incremental slack-order maintenance. runKeys holds the slack keys
 	// aligned with runSorted from the previous matching pass; a key is
@@ -936,7 +918,6 @@ func (s *sim) onArrival(idx int, now units.Seconds) {
 
 // place puts job idx's slices on processors and starts idle ones.
 func (s *sim) place(idx int, now units.Seconds) {
-	s.fairValid = false // utilization evolves; invalidate the fair cache lazily
 	j := s.states[idx].job
 	placements := s.selectProcs(j, now)
 	s.states[idx].remaining = len(placements)
@@ -1080,7 +1061,9 @@ func (s *sim) candidateOrder(now units.Seconds, abundant bool) []int {
 		return s.efficiencyOrder()
 	case FairPolicy:
 		if abundant {
-			return s.leastUsedOrder(now)
+			// Only the naive path asks for the whole order; placement
+			// streams it through candidateIter.
+			return s.naiveLeastUsedOrder(now)
 		}
 		return s.efficiencyOrder()
 	default:
@@ -1096,141 +1079,38 @@ func (s *sim) candidateOrder(now units.Seconds, abundant bool) []int {
 }
 
 // efficiencyOrder returns the efficiency preference order, re-sorting
-// when online profiling has refined the knowledge since the last use.
+// it when online profiling has refined the knowledge since the last
+// use. The re-sort keys every processor by (EffRank, current position)
+// in the reused effKeys buffer: the current order serves as its own
+// tiebreak, the evolution effOrder implements, and because positions
+// form a permutation the keys are all distinct, so the unstable sort
+// equals effOrder's stable one.
 func (s *sim) efficiencyOrder() []int {
-	if s.profilesDirty {
-		if s.cfg.naive {
-			s.effPref = effOrder(len(s.dc.Procs), s.know, s.effPref)
-		} else {
-			s.refreshEffOrder()
-		}
-		s.profilesDirty = false
-		s.effResorted = true
+	if !s.profilesDirty {
+		return s.effPref
 	}
+	if s.cfg.naive {
+		s.effPref = effOrder(len(s.dc.Procs), s.know, s.effPref)
+	} else {
+		if s.effKeys == nil {
+			s.effKeys = make([]effKey, len(s.effPref))
+		}
+		for i, id := range s.effPref {
+			s.effKeys[i] = effKey{rank: s.know.EffRank(id), pos: int32(i), id: int32(id)}
+		}
+		slices.SortFunc(s.effKeys, effCmp)
+		for i, k := range s.effKeys {
+			s.effPref[i] = int(k.id)
+		}
+	}
+	s.profilesDirty = false
+	s.effResorted = true
 	return s.effPref
 }
 
-// refreshEffOrder re-sorts effPref with precomputed (rank, position)
-// keys. The current order serves as its own tiebreak — the same
-// evolution effOrder implements — and because positions form a
-// permutation the key pairs are all distinct, so an unstable sort is
-// deterministically equal to effOrder's stable one. The order is
-// repaired incrementally: only the chips finishScan marked dirty can
-// have a different EffRank (the scan DB is the lone dynamic rank
-// input, and it moves one chip at a time), so the clean remainder of
-// effPref is already sorted under (cached rank, position) and the few
-// dirty chips merge back in.
-func (s *sim) refreshEffOrder() {
-	if s.effCacheOK && !s.effDirtyOverflow && len(s.effDirty) <= len(s.effPref)/8 {
-		s.repairEffOrder()
-	} else {
-		s.fullEffOrder()
-	}
-	s.resetEffDirty()
-}
-
-// fullEffOrder is the non-incremental preference rebuild: one sort of
-// the fleet's (rank, position) keys, a strict order because positions
-// form a permutation. It also refreshes the rank/position caches, so
-// later refreshes with a small dirty set take the repairEffOrder merge
-// walk instead of rebuilding the fleet.
-func (s *sim) fullEffOrder() {
-	n := len(s.effPref)
-	if s.effRank == nil {
-		s.effKeys = make([]effKey, n)
-		s.effRank = make([]float64, n)
-		s.effPos = make([]int32, n)
-		s.effPref2 = make([]int, 0, n)
-		s.effPatch = make([]effKey, 0, n/8+8)
-	}
-	for i, id := range s.effPref {
-		r := s.know.EffRank(id)
-		s.effRank[id] = r
-		s.effKeys[i] = effKey{rank: r, pos: int32(i), id: int32(id)}
-	}
-	slices.SortFunc(s.effKeys, effCmp)
-	for i, k := range s.effKeys {
-		s.effPref[i] = int(k.id)
-		s.effPos[k.id] = int32(i)
-	}
-	s.effCacheOK = true
-}
-
-// repairEffOrder merges the dirty chips — re-ranked, keyed by their
-// current position — into the clean remainder of effPref. The clean
-// subsequence is sorted under (cached rank, current position): effPref
-// was emitted rank-ascending and clean ranks have not moved, while
-// positions increase along it by construction. Both sequences sorted
-// under the strict effCmp order means the merge equals the full sort.
-func (s *sim) repairEffOrder() {
-	if len(s.effDirty) == 0 {
-		return // no rank moved: the cached order is already exact
-	}
-	patch := s.effPatch[:0]
-	for _, id := range s.effDirty {
-		r := s.know.EffRank(int(id))
-		s.effRank[id] = r
-		patch = append(patch, effKey{rank: r, pos: s.effPos[id], id: id})
-	}
-	slices.SortFunc(patch, effCmp)
-	s.effPatch = patch
-
-	out := s.effPref2[:0]
-	j := 0
-	for i, id := range s.effPref {
-		if s.effDirtyMark[id] {
-			continue
-		}
-		k := effKey{rank: s.effRank[id], pos: int32(i), id: int32(id)}
-		for j < len(patch) && effCmp(patch[j], k) < 0 {
-			out = append(out, int(patch[j].id))
-			j++
-		}
-		out = append(out, id)
-	}
-	for ; j < len(patch); j++ {
-		out = append(out, int(patch[j].id))
-	}
-	s.effPref, s.effPref2 = out, s.effPref
-	for i, id := range s.effPref {
-		s.effPos[id] = int32(i)
-	}
-}
-
-// markEffDirty records that a chip's efficiency rank may have moved
-// (its scan completed). O(1) and allocation-free past initialization;
-// overflow degrades to a full rebuild on the next refresh.
-func (s *sim) markEffDirty(id int) {
-	if s.effDirtyOverflow {
-		return
-	}
-	if s.effDirtyMark == nil {
-		s.effDirtyMark = make([]bool, len(s.dc.Procs))
-		s.effDirty = make([]int32, 0, len(s.dc.Procs)/8+64)
-	}
-	if s.effDirtyMark[id] {
-		return
-	}
-	if len(s.effDirty) == cap(s.effDirty) {
-		s.effDirtyOverflow = true
-		return
-	}
-	s.effDirtyMark[id] = true
-	s.effDirty = append(s.effDirty, int32(id))
-}
-
-func (s *sim) resetEffDirty() {
-	for _, id := range s.effDirty {
-		s.effDirtyMark[id] = false
-	}
-	s.effDirty = s.effDirty[:0]
-	s.effDirtyOverflow = false
-}
-
 // effCmp orders (rank ascending, previous position, id), a strict
-// order. The incremental refresh keys positions that form a
-// permutation, so the id decides only in effOrder, whose tiebreak
-// positions may repeat.
+// order. efficiencyOrder keys positions that form a permutation, so the
+// id decides only in effOrder, whose tiebreak positions may repeat.
 func effCmp(a, b effKey) int {
 	if a.rank != b.rank {
 		if a.rank < b.rank {
@@ -1255,99 +1135,36 @@ func (s *sim) windAbundant() bool {
 	return float64(s.curWind) >= s.cfg.FairTheta*float64(s.viewDemand())
 }
 
-// leastUsedOrder sorts processors by accumulated utilization time
-// ascending ("historically least-used CPUs"), cached per event time.
-// The order is maintained incrementally and materialized lazily:
-// ensureFairPass refreshes the retained sorted sources, and
-// extendFair streams their merge into fairOrder on demand. This
-// function is the materialize-everything entry point; selectProcs goes
-// through candidateIter instead and pulls only the prefix it consumes.
-// Every emission follows the identical (utilization, id) strict total
-// order the naive reference sorts, so all paths yield the same
-// permutation bit for bit.
-func (s *sim) leastUsedOrder(now units.Seconds) []int {
-	if s.cfg.naive {
-		return s.naiveLeastUsedOrder(now)
-	}
-	s.ensureFairPass(now)
-	for s.extendFair() {
-	}
-	return s.fairOrder
-}
-
-// extendFair appends the pass's next processor to the fairOrder memo;
-// false once the pass is exhausted.
-func (s *sim) extendFair() bool {
-	id, ok := s.fair.next(s.dc)
-	if ok {
-		s.fairOrder = append(s.fairOrder, id)
-	}
-	return ok
-}
-
-// ensureFairPass begins a fair-order pass for the given instant unless
-// the current one is still valid. The pass folds the cluster's dirty
-// feed into the retained lists and freezes their fairVer validity
-// stamps (see fairState.pass). Idle keys live in the lists,
-// but a busy key is computed from the cluster's utilTime and busySince
-// only when emission reaches it, so the emitted order is exact only
-// while the cluster holds still. It does: a pass is consumed by a single
-// selectProcs, which mutates no cluster state, and place invalidates
-// the pass before each selection, so the slices it then starts never
-// reach a pass already begun. leastUsedOrder drains a pass before its
-// caller can mutate anything.
-func (s *sim) ensureFairPass(now units.Seconds) {
-	if s.fairValid && s.fairOrderAt == now {
-		return
-	}
-	if s.fairOrder == nil {
-		s.fairOrder = make([]int, 0, len(s.dc.Procs))
-	}
-	dirty, overflow := s.dc.FairDirty()
-	s.fair.pass(s.dc, now, dirty, overflow)
-	s.dc.ResetFairDirty()
-	s.fairOrderAt = now
-	s.fairValid = true
-	s.fairOrder = s.fairOrder[:0]
-}
-
-// candIter streams a candidate order. For the fair-abundant path it
-// materializes the order lazily through the pass memo: every iterator at the same instant replays the shared
-// prefix, and only the frontier consumer extends it, so a placement
-// pass over a mostly-idle million-processor fleet touches dozens of
+// candIter streams a candidate order. The fair-abundant path pulls
+// from a fair pass begun for this placement alone (fairState.next), so a
+// placement over a mostly-idle million-processor fleet touches dozens of
 // entries, not the fleet. All other policies wrap the eagerly built
 // slice.
 type candIter struct {
-	s     *sim
+	s     *sim // non-nil: pull from the fair pass
 	fixed []int
 	pos   int
-	lazy  bool
 }
 
+// candidateIter begins the placement's candidate order. Every emission
+// of the fair pass follows the (utilization, id) strict total order the
+// naive reference sorts, so both yield the same permutation bit for bit.
 func (s *sim) candidateIter(now units.Seconds, abundant bool) candIter {
 	if abundant && s.scheme.Policy == FairPolicy && !s.cfg.naive {
-		s.ensureFairPass(now)
-		return candIter{s: s, lazy: true}
+		s.fair.pass(s.dc, now)
+		return candIter{s: s}
 	}
 	return candIter{fixed: s.candidateOrder(now, abundant)}
 }
 
 func (it *candIter) next() (int, bool) {
-	if !it.lazy {
-		if it.pos >= len(it.fixed) {
-			return 0, false
-		}
-		id := it.fixed[it.pos]
-		it.pos++
-		return id, true
+	if it.s != nil {
+		return it.s.fair.next(it.s.dc)
 	}
-	s := it.s
-	for it.pos >= len(s.fairOrder) {
-		if !s.extendFair() {
-			return 0, false
-		}
+	if it.pos >= len(it.fixed) {
+		return 0, false
 	}
-	id := s.fairOrder[it.pos]
+	id := it.fixed[it.pos]
 	it.pos++
 	return id, true
 }
@@ -1413,7 +1230,6 @@ func (s *sim) onComplete(sl *cluster.Slice, gen int, now units.Seconds) {
 		return // stale event from before a DVFS retiming
 	}
 	s.sync(now)
-	s.fairValid = false
 	next := s.dc.Complete(sl.ProcID, now)
 	s.bySerial[sl.Serial] = nil
 	s.finishSlice(sl.Job, now)
@@ -1607,7 +1423,6 @@ func (s *sim) finishScan(id int, now units.Seconds) {
 	s.scanLeft--
 	s.profiled++
 	s.profilesDirty = true
-	s.markEffDirty(id)
 	if started := s.dc.SetOnline(id, now); started != nil {
 		s.scheduleCompletion(started)
 	}

@@ -98,19 +98,18 @@ func (st *Stepper) ProcessNextEvent() (fired bool, err error) {
 }
 
 // ProcessEventBatch fires every event pending at the front timestamp in
-// one engine call, gathered from the engine's in-order run and its heap
-// at once instead of probing both per event as a ProcessNextEvent loop
-// does. It returns the number of events fired (zero when the queue is
-// empty). The fired sequence is bit-identical to calling
+// one engine call, so a driver pays one call per instant instead of one
+// per event. It returns the number of events fired (zero when the queue
+// is empty). The fired sequence is bit-identical to calling
 // ProcessNextEvent that many times: newly scheduled events — even at
 // the same timestamp — carry larger sequence numbers and sort after the
 // whole batch, so they fire in the next call. The dispatch stops
 // mid-batch as soon as the run is terminally done (the
 // stream sealed and its last job finished, or a fail-fast invariant
-// latched — surfaced as an error on the next call), the states in which
-// a single-step driver would strand the same events in the queue
-// forever. On an open stream a finished job ends nothing — more may
-// arrive — so the whole batch fires.
+// latched — surfaced as an error on the next call), and leaves the rest
+// of the instant queued, where a single-step driver would strand the
+// same events forever. On an open stream a finished job ends nothing —
+// more may arrive — so the whole batch fires.
 func (st *Stepper) ProcessEventBatch() (fired int, err error) {
 	if st.result != nil {
 		return 0, fmt.Errorf("scheduler: step after the result was assembled")

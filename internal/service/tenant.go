@@ -3,6 +3,7 @@ package service
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"sync"
 
@@ -295,17 +296,11 @@ func (t *tenant) result() (*scheduler.Result, *APIError) {
 	if !t.st.Sealed() {
 		return nil, errConflict("tenant %q: result requested on an open stream; seal it first", t.spec.Name)
 	}
-	for !t.st.Finished() {
-		fired, err := t.st.ProcessNextEvent()
-		if err != nil {
-			return nil, &APIError{Status: http.StatusInternalServerError, Code: "simulation_failed",
-				Message: fmt.Sprintf("tenant %q: %v", t.spec.Name, err)}
-		}
-		if !fired {
-			break
-		}
+	_, err := t.st.AdvanceTo(units.Seconds(math.Inf(1)))
+	var res *scheduler.Result
+	if err == nil {
+		res, err = t.st.Result()
 	}
-	res, err := t.st.Result()
 	if err != nil {
 		return nil, &APIError{Status: http.StatusInternalServerError, Code: "simulation_failed",
 			Message: fmt.Sprintf("tenant %q: %v", t.spec.Name, err)}

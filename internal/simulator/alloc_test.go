@@ -32,8 +32,8 @@ func TestQueuePushPopAllocFree(t *testing.T) {
 }
 
 // TestStepBatchAllocFree pins the same-timestamp batch dispatch: once
-// the retained batch buffer has reached capacity, gathering an entire
-// front timestamp and firing it must not touch the heap. Half the
+// the run and the heap have reached capacity, firing an entire front
+// timestamp straight from them must not touch the heap. Half the
 // events share one timestamp (the batch) and half are spread out
 // (one-event batches). The first shared-timestamp push starts the run,
 // the first spread-out one extends it, and the other fifteen
@@ -59,7 +59,7 @@ func TestStepBatchAllocFree(t *testing.T) {
 		for e.StepBatch(nil) > 0 {
 		}
 	}
-	cycle() // warm: grow the run, heap and batch slices to capacity
+	cycle() // warm: grow the run and heap slices to capacity
 	if !spans {
 		t.Fatal("the shared-timestamp batch did not span the run and the heap")
 	}

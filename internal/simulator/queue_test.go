@@ -148,7 +148,7 @@ func (d *modelRunner) dispatch(tag int, now units.Seconds) {
 
 // stepBatch calls StepBatch and checks it fired exactly the events
 // pending at the front timestamp when it was called, in order — or, when
-// halt stops it, exactly a prefix of them, the rest discarded.
+// halt stops it, exactly a prefix of them, the rest left pending.
 func (d *modelRunner) stepBatch() {
 	t := d.t
 	front := d.sortedModel()
@@ -199,17 +199,19 @@ func (d *modelRunner) stepBatch() {
 		}
 	}
 	if stopAfter < k {
-		// The halted batch's remainder is discarded, not re-queued.
+		// The halted batch's remainder stays queued, ahead of anything
+		// its handlers scheduled, as a Step loop would leave it.
 		d.st.halts++
 		for _, ev := range front[stopAfter:] {
-			i := slices.Index(d.model, ev)
-			if i < 0 {
+			if !slices.Contains(d.model, ev) {
 				t.Fatalf("halted event %+v fired", ev)
 			}
-			d.model = slices.Delete(d.model, i, i+1)
 		}
 		if got := d.e.Pending(); got != len(d.model) {
 			t.Fatalf("Pending = %d after a halted batch, model %d", got, len(d.model))
+		}
+		if at, seq, ok := d.e.PeekNext(); !ok || at != front[stopAfter].at || seq != front[stopAfter].seq {
+			t.Fatalf("PeekNext = (%v, %d, %v) after a halted batch, want the first unfired event %+v", at, seq, ok, front[stopAfter])
 		}
 	}
 }

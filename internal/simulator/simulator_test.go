@@ -318,8 +318,8 @@ func TestHeapOrderProperty(t *testing.T) {
 }
 
 // A node is its 16-byte (at, seq) key and its tag, with no padding
-// beside an 8-byte-aligned tag, so every sift and batch copy moves only
-// what the order and the dispatcher need.
+// beside an 8-byte-aligned tag, so every sift copy moves only what the
+// order and the dispatcher need.
 func TestNodeSize(t *testing.T) {
 	type pair struct{ a, b int64 }
 	if got, want := unsafe.Sizeof(node[pair]{}), 16+unsafe.Sizeof(pair{}); got != want {
