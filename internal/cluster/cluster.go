@@ -548,16 +548,6 @@ func (dc *Datacenter) Unqueue(s *Slice) bool {
 	return false
 }
 
-// QueuedSlices appends every waiting (not started) slice across the
-// fleet to dst and returns it.
-func (dc *Datacenter) QueuedSlices(dst []*Slice) []*Slice {
-	dst = dst[:0]
-	for i := range dc.queues {
-		dst = append(dst, dc.queues[i].items()...)
-	}
-	return dst
-}
-
 // Migrate moves a queued slice to another processor at a (possibly
 // new) assigned DVFS level, starting it immediately if that processor
 // is idle (the returned slice is then non-nil and its completion must

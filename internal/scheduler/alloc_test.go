@@ -128,13 +128,12 @@ func TestLeastUsedOrderAllocFree(t *testing.T) {
 	measureKernels(t, "fairPass(full)", "efficiencyOrder(resort)")
 }
 
-// TestFairRepairAllocFree pins the dirty-set repair paths the
-// incremental order maintenance runs between full rebuilds: a fair
-// order repaired around one dirtied processor, and a slack order
-// re-derived across a deficit/surplus direction flip. Each is the
-// steady-state fast path at million-processor scale, so per-call
-// growth here is a scaling regression even when the full rebuilds stay
-// clean.
+// TestFairRepairAllocFree pins the per-pass order kernels: a fair
+// order repaired around one dirtied processor, the steady-state fast
+// path between full rebuilds at million-processor scale, and the
+// matching sort in the deficit and then the surplus direction, whose
+// collect and writeback reuse sim-owned buffers. Per-call growth here
+// is a scaling regression even when the full rebuilds stay clean.
 func TestFairRepairAllocFree(t *testing.T) {
 	s := warmSim(t)
 	// The warmup may have stopped at an instant where every
@@ -167,13 +166,11 @@ func TestFairRepairAllocFree(t *testing.T) {
 	fairRepair() // warm: the first repair sizes the patch scratch
 	measure(t, "fairPass(repair)", fairRepair)
 
-	slackFlip := func() {
+	slackSorts := func() {
 		_ = s.sortRunningBySlack(now, true)
 		_ = s.sortRunningBySlack(now, false)
 	}
-	slackFlip()
-	slackFlip()
-	measure(t, "sortRunningBySlack(flip)", slackFlip)
+	measure(t, "sortRunningBySlack(deficit, surplus)", slackSorts)
 }
 
 // TestRunStartsNoGoroutines pins that a simulation runs on its

@@ -527,7 +527,7 @@ func (s *sim) restore(data []byte) error {
 	}
 	s.profilesDirty = snap.ProfilesDirty
 
-	slices, err := s.dc.RestoreState(snap.Cluster, &s.arena, func(ref int) (*workload.Job, error) {
+	live, err := s.dc.RestoreState(snap.Cluster, &s.arena, func(ref int) (*workload.Job, error) {
 		if ref < 0 || ref >= len(s.states) {
 			return nil, fmt.Errorf("job ref %d out of range", ref)
 		}
@@ -536,7 +536,7 @@ func (s *sim) restore(data []byte) error {
 	if err != nil {
 		return fmt.Errorf("scheduler: resume: %w", err)
 	}
-	s.rebuildSerialIndex(slices)
+	s.rebuildSerialIndex(live)
 
 	s.account.RestoreState(snap.Account)
 	switch {
@@ -560,9 +560,8 @@ func (s *sim) restore(data []byte) error {
 	s.workDone = snap.WorkDone
 	s.slicesDone = snap.SlicesDone
 	s.sliceSeq = snap.SliceSeq
-	// The derived orders need no reset: RestoreState raised the
-	// cluster's fair-dirty overflow, so the fair lists rebuild on first
-	// use, and rebuildSerialIndex dropped the slack order.
+	// The fair order needs no reset: RestoreState raised the cluster's
+	// fair-dirty overflow, so the fair lists rebuild on first use.
 
 	if s.onlineActive {
 		if len(snap.ScanState) != len(s.scanState) {
@@ -748,6 +747,29 @@ func (s *sim) restore(data []byte) error {
 		case !arrived && !pending:
 			return fmt.Errorf("scheduler: resume: job %d has neither arrived nor a pending arrival", idx)
 		}
+	}
+	// A job's Remaining counts its live slices, running or queued, and
+	// its last completion sets its Finish and takes it off JobsLeft. A
+	// count that disagrees resumes into a run that finishes early or
+	// never.
+	slicesOf := make([]int, len(s.states))
+	for _, sl := range live {
+		slicesOf[s.stateIdx[sl.Job]]++
+	}
+	unfinished := 0
+	for idx := range s.states {
+		st := &s.states[idx]
+		switch {
+		case st.remaining != slicesOf[idx]:
+			return fmt.Errorf("scheduler: resume: job %d counts %d remaining slices but has %d", idx, st.remaining, slicesOf[idx])
+		case st.finish != 0 && slicesOf[idx] > 0:
+			return fmt.Errorf("scheduler: resume: job %d finished at t=%v but has %d slices left", idx, st.finish, slicesOf[idx])
+		case st.finish == 0:
+			unfinished++
+		}
+	}
+	if s.jobsLeft != unfinished {
+		return fmt.Errorf("scheduler: resume: snapshot counts %d jobs left, but %d have not finished", s.jobsLeft, unfinished)
 	}
 	// The resumed run may enable checkpointing even when the snapshot
 	// holds no pending tick (the original run checkpointed only on

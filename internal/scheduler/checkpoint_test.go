@@ -426,8 +426,9 @@ func TestResumeRejectsCorruptSnapshots(t *testing.T) {
 
 // TestResumeRejectsMalformedEvents feeds NewStepper well-formed
 // snapshots, re-encoded so the checksum holds, that differ from a real
-// one in a single pending event, and requires each to be refused with
-// the named reason instead of resuming into a wrong run or a panic.
+// one in a single pending event or job count, and requires each to be
+// refused with the named reason instead of resuming into a wrong run or
+// a panic.
 // "rich" is the golden batch configuration at digestSnapInstant: its
 // queue holds a re-profile with its false-pass payload, and its fault
 // plan has battery-fade events that no battery observes. "bare" runs
@@ -530,6 +531,18 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		snap.Jobs[snap.Events[arrival].Tag.A].Finish = snap.Now
 	}
 	traceCursorPast := func(snap *runSnapshot) { snap.TraceNext++ }
+	// jobEdit rewrites one job's counts.
+	jobEdit := func(idx int, edit func(*jobSnap)) func(*runSnapshot) {
+		return func(snap *runSnapshot) {
+			snap.Jobs = slices.Clone(snap.Jobs)
+			edit(&snap.Jobs[idx])
+		}
+	}
+	running := slices.IndexFunc(snaps["rich"].Jobs, func(j jobSnap) bool { return j.Remaining > 0 })
+	if running < 0 {
+		t.Fatal("the rich snapshot holds no job with slices left")
+	}
+	lowerJobsLeft := func(snap *runSnapshot) { snap.JobsLeft-- }
 	// payload rewrites the pending re-profile.
 	payload := func(edit func(*eventTag)) func(*runSnapshot) {
 		return func(snap *runSnapshot) { edit(&snap.Events[reprofile].Tag) }
@@ -568,6 +581,9 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		{"second arrival of one injected job", "stream", arrivalEdit(nil), "second arrival for injected job"},
 		{"injected job without its pending arrival", "stream", dropArrival, "neither arrived nor a pending arrival"},
 		{"trace cursor past a pending arrival", "rich", traceCursorPast, "neither arrived nor a pending arrival"},
+		{"remaining above the live slices", "rich", jobEdit(4, func(j *jobSnap) { j.Remaining++ }), "job 4 counts"},
+		{"finished job with live slices", "rich", jobEdit(running, func(j *jobSnap) { j.Finish = snaps["rich"].Now }), "slices left"},
+		{"jobs left below the unfinished jobs", "rich", lowerJobsLeft, "jobs left, but"},
 		{"arrival after its submit time", "stream", arrivalEdit(func(ev *snapEvent) { ev.At += 3600 }), "due at its submit time"},
 		{"arrival outside its sequence slot", "stream", arrivalEdit(func(ev *snapEvent) { ev.Seq++ }), "due at its submit time"},
 		{"wind tick without wind", "bare", add(eventTag{Kind: tagWindTick}), "wind tick in a utility-only run"},

@@ -321,11 +321,6 @@ type sim struct {
 	// event is stale and a no-op. On resume it is rebuilt from the
 	// restored cluster state.
 	bySerial []*cluster.Slice
-	// runStamp is an epoch-stamped membership set over serials used by
-	// sortRunningBySlack to detect slices that started running since the
-	// previous matching pass; it grows in lockstep with bySerial.
-	runStamp []int64
-	runEpoch int64
 	// arena bulk-allocates slices; entries are never recycled within a
 	// run, so slice pointers behave exactly like individual allocations.
 	arena cluster.SliceArena
@@ -340,28 +335,18 @@ type sim struct {
 	// allocation-free. takenMark is an epoch-stamped membership set
 	// (takenMark[id] == takenEpoch means taken this placement) that
 	// replaces a per-placement map.
-	runBuf        []*cluster.Slice
-	runSorted     []*cluster.Slice
-	lastSlackDesc bool
-	availBuf      []procAvail
-	placeBuf      []placement
-	takenMark     []int64
-	takenEpoch    int64
-	slackBuf      []slackEntry
-	changedBuf    []*cluster.Slice
-	candBuf       []rebalCand
-	slowsBuf      []float64
-	permBuf       []int
-	effKeys       []effKey
-
-	// Incremental slack-order maintenance. runKeys holds the slack keys
-	// aligned with runSorted from the previous matching pass; a key is
-	// still exact iff the slice kept its generation (slack = deadline −
-	// finish is time-independent, and every finish move bumps Gen), so a
-	// pass repairs only gen-stale slices and newcomers.
-	runKeys    []runKey
-	runKeys2   []runKey
-	runSorted2 []*cluster.Slice
+	runBuf     []*cluster.Slice
+	runSorted  []*cluster.Slice
+	availBuf   []procAvail
+	placeBuf   []placement
+	takenMark  []int64
+	takenEpoch int64
+	slackBuf   []slackEntry
+	changedBuf []*cluster.Slice
+	candBuf    []rebalCand
+	slowsBuf   []float64
+	permBuf    []int
+	effKeys    []effKey
 
 	// fair is the retained least-used order (see fair.go); naive mode
 	// leaves it unused. It holds derived caches, never simulation
@@ -381,24 +366,14 @@ type utilKey struct {
 	id int
 }
 
-// slackEntry pairs a running slice (by position in the scratch slice
-// being sorted) with its deadline slack, computed once before the
-// matching sort. Pointer-free on purpose: the sort's O(n log n) swaps
-// then move plain scalars with no GC write barriers, and only the final
-// O(n) permutation writeback touches pointer memory.
+// slackEntry keys a running slice, by its processor, with its deadline
+// slack, computed once before the matching sort. Pointer-free on
+// purpose: the sort's O(n log n) swaps then move plain scalars with no
+// GC write barriers, and only the final O(n) writeback touches pointer
+// memory.
 type slackEntry struct {
 	slack  units.Seconds
-	idx    int32 // position in the pre-sort running slice
 	procID int32 // deadline tiebreak; one running slice per processor
-}
-
-// runKey is the retained sort key of one entry in runSorted: the slack
-// and tiebreak the previous pass sorted by, plus the slice generation
-// that proves the key is still exact (any Finish move bumps Gen).
-type runKey struct {
-	slack  units.Seconds
-	procID int32
-	gen    int32
 }
 
 // rebalCand is one queued slice endangered by its estimated start.
@@ -568,10 +543,8 @@ func newSim(fleet *Fleet, scheme Scheme, cfg RunConfig, streaming bool) (*sim, e
 		cfg:       cfg,
 		r:         rng.Named(cfg.Seed, "sim-"+scheme.Name),
 		account:   metrics.NewAccount(0),
-		runBuf:    make([]*cluster.Slice, 0, len(fleet.Chips)),
 		faults:    fstate,
 		bySerial:  make([]*cluster.Slice, 0, 2*len(fleet.Chips)),
-		runStamp:  make([]int64, 0, 2*len(fleet.Chips)),
 		takenMark: make([]int64, len(fleet.Chips)),
 	}
 	// Pending events peak at the not-yet-arrived jobs plus one
@@ -828,29 +801,24 @@ func (s *sim) sliceFor(serial int) *cluster.Slice {
 }
 
 // indexSlice registers a freshly placed slice in the serial index,
-// growing it (and the run-stamp set) to cover the serial.
+// growing it to cover the serial.
 func (s *sim) indexSlice(sl *cluster.Slice) {
 	for len(s.bySerial) <= sl.Serial {
 		s.bySerial = append(s.bySerial, nil)
-		s.runStamp = append(s.runStamp, 0)
 	}
 	s.bySerial[sl.Serial] = sl
 }
 
 // rebuildSerialIndex reloads the serial index from a restored cluster
-// state and drops sort caches that referenced pre-restore slices.
+// state.
 func (s *sim) rebuildSerialIndex(live map[int]*cluster.Slice) {
 	s.bySerial = s.bySerial[:0]
-	s.runStamp = s.runStamp[:0]
 	for serial, sl := range live {
 		for len(s.bySerial) <= serial {
 			s.bySerial = append(s.bySerial, nil)
-			s.runStamp = append(s.runStamp, 0)
 		}
 		s.bySerial[serial] = sl
 	}
-	s.runSorted = s.runSorted[:0]
-	s.runKeys = s.runKeys[:0]
 }
 
 // sync integrates energy up to now at the current demand and wind.
@@ -1478,10 +1446,10 @@ func (s *sim) match(now units.Seconds) []*cluster.Slice {
 
 	case demand < target:
 		// Levels can only be raised back toward their assignment; if no
-		// running slice sits below it, the sorted walk below would visit
-		// every slice and change nothing — skip the sort outright. This
+		// running slice sits below it, there is nothing to collect. This
 		// is the steady state whenever wind has covered demand for a
-		// while, so the O(procs) scan replaces most surplus-side sorts.
+		// while, and in million-processor profiles this scan cost less
+		// than the collect pass it skips.
 		if !s.anyBelowAssigned() {
 			break
 		}
@@ -1517,122 +1485,40 @@ func (s *sim) anyBelowAssigned() bool {
 	return false
 }
 
-// sortRunningBySlack collects the running slices and sorts them by
-// deadline slack — descending when desc is true (deficit: most
-// forgiving first), ascending otherwise (surplus: tightest first).
+// sortRunningBySlack collects the running slices match can act on and
+// sorts them by deadline slack: for the deficit (desc), the slices
+// above level 0, most slack first; for the surplus, the slices below
+// their assigned level, tightest slack first.
 //
-// The sorted list is carried over from the previous matching pass,
-// reversed in place when the deficit/surplus direction flips. Only the
-// slices whose key may have moved — gen-stale survivors and slices that
-// started running since (found through the epoch-stamped serial set) —
-// are re-keyed into a patch, sorted, and merged in. (slack, ProcID) is
-// a strict total order over running slices — one slice per processor —
-// so the merge equals a full sort of every key. Keys are precomputed
-// once per slice, not twice per comparison.
+// The filter is exact. The deficit walk changes no slice at level 0,
+// and skipping one cannot move its loop-top demand check, since demand
+// moves only when a slice is lowered; the surplus walk changes no slice
+// at or above its assigned level. A slice's level changes only in its
+// own iteration, and a sorted subsequence is the sort of the subset, so
+// the walks act on the same slices in the same order as over all
+// running slices. Keys are computed once per slice into pointer-free
+// (slack, procID) entries, a strict total order with one running slice
+// per processor, and the sorted entries write back through the
+// per-processor running view.
 func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice {
-	if len(s.runKeys) != len(s.runSorted) {
-		// Keys not tracked for the carried list (fresh run, or a restore
-		// rebuilt the serial index). Dropping the carry is safe: the
-		// newcomer scan below rediscovers every running slice.
-		s.runSorted = s.runSorted[:0]
-		s.runKeys = s.runKeys[:0]
-	}
-	s.runEpoch++
-	// Partition the previous sorted list: slices that kept their
-	// generation kept their Finish, so their stored key is exact and
-	// their relative order still sorted; gen-stale survivors join the
-	// patch for re-keying.
-	baseS := s.runSorted
-	baseK := s.runKeys
-	baseN := 0
-	patchK := s.slackBuf[:0]
-	patchS := s.runBuf[:0]
-	for i, sl := range baseS {
-		if !sl.Running() {
-			continue
-		}
-		s.runStamp[sl.Serial] = s.runEpoch
-		if baseK[i].gen == int32(sl.Gen) {
-			baseS[baseN] = sl
-			baseK[baseN] = baseK[i]
-			baseN++
-		} else {
-			patchK = append(patchK, slackEntry{slack: slack(sl, now), idx: int32(len(patchS)), procID: int32(sl.ProcID)})
-			patchS = append(patchS, sl)
+	view := s.dc.CurrentView()
+	keys := s.slackBuf[:0]
+	for id, cur := range view {
+		if cur != nil && (desc && cur.Level > 0 || !desc && cur.Level < cur.AssignedLevel) {
+			keys = append(keys, slackEntry{slack: slack(cur, now), procID: int32(id)})
 		}
 	}
-	if desc != s.lastSlackDesc {
-		// The previous pass sorted the other direction. Reversing the
-		// exact-keyed base flips the slack order, but ties break by
-		// procID ascending in BOTH directions (matching slackDesc and
-		// slackAsc), so each equal-slack run — reversed wholesale into
-		// procID-descending — must be re-reversed in place. No-deadline
-		// slices all share +Inf slack, so such runs are common.
-		slices.Reverse(baseS[:baseN])
-		slices.Reverse(baseK[:baseN])
-		for i := 0; i < baseN; {
-			j := i + 1
-			for j < baseN && baseK[j].slack == baseK[i].slack {
-				j++
-			}
-			slices.Reverse(baseS[i:j])
-			slices.Reverse(baseK[i:j])
-			i = j
-		}
-		s.lastSlackDesc = desc
-	}
-	// Slices that started running since the previous pass: a scan of
-	// the per-processor running view in id order (the stamps mark the
-	// carried survivors).
-	for _, cur := range s.dc.CurrentView() {
-		if cur != nil && s.runStamp[cur.Serial] != s.runEpoch {
-			patchK = append(patchK, slackEntry{slack: slack(cur, now), idx: int32(len(patchS)), procID: int32(cur.ProcID)})
-			patchS = append(patchS, cur)
-		}
-	}
-	s.runBuf, s.slackBuf = patchS, patchK
 	if desc {
-		slices.SortFunc(patchK, slackDesc)
+		slices.SortFunc(keys, slackDesc)
 	} else {
-		slices.SortFunc(patchK, slackAsc)
+		slices.SortFunc(keys, slackAsc)
 	}
-	// Merge the exact-keyed base with the re-keyed patch. Both are
-	// sorted under the strict (slack, procID) direction order, so the
-	// merge emits the unique sorted permutation — identical to the full
-	// sort of all keys.
-	outS := s.runSorted2[:0]
-	outK := s.runKeys2[:0]
-	j := 0
-	for i := 0; i < baseN; i++ {
-		for j < len(patchK) && slackBefore(desc, patchK[j].slack, patchK[j].procID, baseK[i].slack, baseK[i].procID) {
-			sl := patchS[patchK[j].idx]
-			outS = append(outS, sl)
-			outK = append(outK, runKey{slack: patchK[j].slack, procID: patchK[j].procID, gen: int32(sl.Gen)})
-			j++
-		}
-		outS = append(outS, baseS[i])
-		outK = append(outK, baseK[i])
+	out := s.runSorted[:0]
+	for _, k := range keys {
+		out = append(out, view[k.procID])
 	}
-	for ; j < len(patchK); j++ {
-		sl := patchS[patchK[j].idx]
-		outS = append(outS, sl)
-		outK = append(outK, runKey{slack: patchK[j].slack, procID: patchK[j].procID, gen: int32(sl.Gen)})
-	}
-	s.runSorted, s.runSorted2 = outS, s.runSorted[:0]
-	s.runKeys, s.runKeys2 = outK, s.runKeys[:0]
-	return outS
-}
-
-// slackBefore reports whether key a strictly precedes key b in the
-// given direction — the merge-loop form of slackDesc/slackAsc.
-func slackBefore(desc bool, sa units.Seconds, pa int32, sb units.Seconds, pb int32) bool {
-	if sa != sb {
-		if desc {
-			return sa > sb
-		}
-		return sa < sb
-	}
-	return pa < pb
+	s.slackBuf, s.runSorted = keys, out
+	return out
 }
 
 func slackDesc(a, b slackEntry) int {

@@ -445,20 +445,11 @@ func (m *Model) NodeOf(proc int) int {
 	return n
 }
 
-// DropoutWindows and SpikeCount expose plan sizes for tests.
+// DropoutWindows is the total number of compiled dropout windows.
 func (m *Model) DropoutWindows() int {
 	n := 0
 	for _, w := range m.drops {
 		n += len(w)
-	}
-	return n
-}
-
-// SpikeCount is the total number of compiled spike transients.
-func (m *Model) SpikeCount() int {
-	n := 0
-	for _, s := range m.spikes {
-		n += len(s)
 	}
 	return n
 }
