@@ -92,7 +92,10 @@ func (dc *Datacenter) CaptureState(jobRef func(*workload.Job) int) State {
 // they are allocated and freed in chunks like live ones. job resolves
 // the identifiers produced by jobRef at capture time. It returns the
 // rebuilt slices keyed by Serial so the caller can re-attach pending
-// events to them.
+// events to them. It refuses a slice that no run could leave behind:
+// one that names a processor other than the one storing it, a current
+// slice not running or a queued one running, or a level outside the
+// DVFS table.
 //
 // A counting pass sizes the map once, and every queue's window is cut
 // from one shared pointer block at its exact length, capped so that a
@@ -113,9 +116,21 @@ func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*
 	}
 	queued := make([]*Slice, nQueued)
 	slices := make(map[int]*Slice, nSlices)
-	restore := func(ss *SliceState) (*Slice, error) {
+	// restore rebuilds one slice stored under processor id, running if
+	// it is the processor's current slice and queued otherwise.
+	restore := func(ss *SliceState, id int, current bool) (*Slice, error) {
 		if _, dup := slices[ss.Serial]; dup {
 			return nil, fmt.Errorf("cluster: snapshot repeats slice serial %d", ss.Serial)
+		}
+		switch {
+		case ss.ProcID != id:
+			return nil, fmt.Errorf("cluster: slice serial %d is stored under processor %d but names processor %d", ss.Serial, id, ss.ProcID)
+		case current && !ss.Running:
+			return nil, fmt.Errorf("cluster: processor %d's current slice serial %d is not running", id, ss.Serial)
+		case !current && ss.Running:
+			return nil, fmt.Errorf("cluster: processor %d queues slice serial %d marked running", id, ss.Serial)
+		case ss.Level < 0 || ss.Level >= dc.nLevels || ss.AssignedLevel < 0 || ss.AssignedLevel >= dc.nLevels:
+			return nil, fmt.Errorf("cluster: slice serial %d has level %d and assigned level %d, outside the %d-level DVFS table", ss.Serial, ss.Level, ss.AssignedLevel, dc.nLevels)
 		}
 		j, err := job(ss.JobRef)
 		if err != nil {
@@ -148,7 +163,7 @@ func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*
 		dc.offlineDraw[i] = ps.OfflineDraw
 		dc.current[i] = nil
 		if len(ps.Current) == 1 {
-			s, err := restore(&ps.Current[0])
+			s, err := restore(&ps.Current[0], i, true)
 			if err != nil {
 				return nil, err
 			}
@@ -161,7 +176,7 @@ func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*
 			q.buf, queued = queued[:0:n], queued[n:]
 		}
 		for k := range ps.Queue {
-			s, err := restore(&ps.Queue[k])
+			s, err := restore(&ps.Queue[k], i, false)
 			if err != nil {
 				return nil, err
 			}

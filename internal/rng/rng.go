@@ -12,6 +12,7 @@ package rng
 import (
 	"hash/fnv"
 	"math"
+	"math/bits"
 	"math/rand/v2"
 )
 
@@ -156,15 +157,40 @@ func (r *Rand) Poisson(mean float64) int {
 func (r *Rand) Perm(n int) []int { return r.src.Perm(n) }
 
 // PermInto writes a random permutation of [0,len(dst)) into dst. It
-// consumes the stream exactly as Perm(len(dst)) would — rand/v2's Perm
-// is an identity fill followed by Shuffle — so the two are
-// interchangeable without perturbing downstream draws; PermInto just
-// skips the allocation.
+// returns and consumes exactly what Perm(len(dst)) would, so the two
+// are interchangeable without perturbing downstream draws. rand/v2's
+// Perm is an identity fill followed by Shuffle, a Fisher–Yates loop
+// that swaps through a closure and draws each index through the Source
+// interface. PermInto runs the same loop with the swap inline, draws
+// straight from the PCG, and skips the allocation.
 func (r *Rand) PermInto(dst []int) {
 	for i := range dst {
 		dst[i] = i
 	}
-	r.src.Shuffle(len(dst), func(i, j int) { dst[i], dst[j] = dst[j], dst[i] })
+	for i := len(dst) - 1; i > 0; i-- {
+		j, ok := bounded(r.pcg.Uint64(), uint64(i+1))
+		for !ok {
+			j, ok = bounded(r.pcg.Uint64(), uint64(i+1))
+		}
+		dst[i], dst[j] = dst[j], dst[i]
+	}
+}
+
+// bounded reduces a uniform 64-bit draw x to [0,n), n > 0, as rand/v2's
+// Uint64N does on a 64-bit platform: a mask when n is a power of two,
+// otherwise the high word of x·n (Lemire's multiply-high reduction).
+// ok is false when x·n's low word falls below 2⁶⁴ mod n, the zone that
+// would bias the result; Uint64N then draws again, and so must the
+// caller. rand/v2's 32-bit path is built to return the same sequence,
+// so drawing until ok matches Uint64N on every platform. bounded makes
+// no draw of its own so that it inlines into the caller's loop.
+func bounded(x, n uint64) (v uint64, ok bool) {
+	if n&(n-1) == 0 {
+		return x & (n - 1), true
+	}
+	hi, lo := bits.Mul64(x, n)
+	// 2⁶⁴ mod n is below n, so the division runs only when lo < n.
+	return hi, lo >= n || lo >= -n%n
 }
 
 // Shuffle pseudo-randomizes the order of n elements using swap.

@@ -2,6 +2,7 @@ package rng
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -257,21 +258,53 @@ func TestWeibullPositive(t *testing.T) {
 }
 
 // PermInto must consume the stream exactly as Perm does: same
-// permutation from the same state, and identical follow-up draws.
+// permutation from the same state, and identical follow-up draws. The
+// sizes cover the empty and one-entry cases, the power-of-two mask
+// path at every step, and the paper's 4,800-proc fleet.
 func TestPermIntoStreamEquivalence(t *testing.T) {
-	for _, n := range []int{0, 1, 2, 7, 64, 500} {
-		a := New(42, uint64(n))
-		b := New(42, uint64(n))
-		want := a.Perm(n)
-		got := make([]int, n)
-		b.PermInto(got)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("n=%d: PermInto = %v, want %v", n, got, want)
+	for seed := uint64(1); seed <= 50; seed++ {
+		for _, n := range []int{0, 1, 2, 3, 4, 5, 7, 8, 16, 33, 64, 100, 1024, 4096, 4800} {
+			a := New(seed, uint64(n))
+			b := New(seed, uint64(n))
+			want := a.Perm(n)
+			got := make([]int, n)
+			b.PermInto(got)
+			if !slices.Equal(got, want) {
+				t.Fatalf("seed %d, n=%d: PermInto = %v, want %v", seed, n, got, want)
+			}
+			if au, bu := a.Uint64(), b.Uint64(); au != bu {
+				t.Fatalf("seed %d, n=%d: streams diverged after permutation: %d vs %d", seed, n, au, bu)
 			}
 		}
-		if au, bu := a.Uint64(), b.Uint64(); au != bu {
-			t.Fatalf("n=%d: streams diverged after permutation: %d vs %d", n, au, bu)
+	}
+}
+
+// Drawing until bounded accepts must return exactly what rand/v2's
+// Uint64N returns from the same stream, rejections included: at 3<<62
+// a quarter of the draws are rejected, at 1<<63+1 about half, and at
+// MaxUint64 every draw reaches the threshold test.
+func TestBoundedMatchesUint64N(t *testing.T) {
+	sizes := []uint64{1, 2, 3, 5, 7, 64, 1000, 4800, 1 << 32, 1<<32 + 1, 1 << 62, 3 << 62, 1<<63 + 1, math.MaxUint64}
+	for seed := uint64(1); seed <= 20; seed++ {
+		for _, n := range sizes {
+			a := New(seed, n)
+			b := New(seed, n)
+			rejected := 0
+			for k := 0; k < 200; k++ {
+				got, ok := bounded(a.Uint64(), n)
+				for ; !ok; rejected++ {
+					got, ok = bounded(a.Uint64(), n)
+				}
+				if want := b.src.Uint64N(n); got != want {
+					t.Fatalf("seed %d, n=%d, draw %d: bounded = %d, Uint64N = %d", seed, n, k, got, want)
+				}
+			}
+			if au, bu := a.Uint64(), b.Uint64(); au != bu {
+				t.Fatalf("seed %d, n=%d: streams diverged after 200 draws: %d vs %d", seed, n, au, bu)
+			}
+			if n == 3<<62 && rejected == 0 {
+				t.Fatalf("seed %d, n=%d: no draw was rejected in 200", seed, n)
+			}
 		}
 	}
 }
@@ -282,5 +315,16 @@ func TestPermIntoAllocFree(t *testing.T) {
 	allocs := testing.AllocsPerRun(100, func() { r.PermInto(buf) })
 	if allocs != 0 {
 		t.Fatalf("PermInto allocated %v per run, want 0", allocs)
+	}
+}
+
+// BenchmarkPermInto draws one permutation of the paper's 4,800-proc
+// fleet per op, as the Random policy does per arrival.
+func BenchmarkPermInto(b *testing.B) {
+	r := New(1, 2)
+	buf := make([]int, 4800)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		r.PermInto(buf)
 	}
 }

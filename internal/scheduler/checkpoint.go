@@ -527,6 +527,19 @@ func (s *sim) restore(data []byte) error {
 	}
 	s.profilesDirty = snap.ProfilesDirty
 
+	// Serials are issued from 0 up to SliceSeq, and the serial index is
+	// sized by them: one outside that range would index it out of
+	// bounds, or grow it without limit.
+	for i := range snap.Cluster.Procs {
+		ps := &snap.Cluster.Procs[i]
+		for _, list := range [2][]cluster.SliceState{ps.Current, ps.Queue} {
+			for k := range list {
+				if serial := list[k].Serial; serial < 0 || serial >= snap.SliceSeq {
+					return fmt.Errorf("scheduler: resume: processor %d holds slice serial %d, outside the %d issued", i, serial, snap.SliceSeq)
+				}
+			}
+		}
+	}
 	live, err := s.dc.RestoreState(snap.Cluster, &s.arena, func(ref int) (*workload.Job, error) {
 		if ref < 0 || ref >= len(s.states) {
 			return nil, fmt.Errorf("job ref %d out of range", ref)
@@ -687,6 +700,7 @@ func (s *sim) restore(data []byte) error {
 	}
 	ckptRestored := false
 	arriving := make([]bool, len(snap.Injected)) // by injected-job index
+	timed := make([]bool, len(s.bySerial))       // running slices' completions, by serial
 	for _, ev := range snap.Events {
 		keep, err := s.validateTag(ev.Tag)
 		if err != nil {
@@ -699,6 +713,21 @@ func (s *sim) restore(data []byte) error {
 			return err
 		}
 		switch ev.Tag.Kind {
+		case tagCompletion:
+			// A completion of the running generation ends the slice when
+			// it fires, so it must be due at the slice's Finish and be
+			// its only one. Earlier generations' completions are no-ops.
+			sl := s.sliceFor(int(ev.Tag.A))
+			if !sl.Running() || int(ev.Tag.B) != sl.Gen {
+				break
+			}
+			if ev.At != sl.Finish {
+				return fmt.Errorf("scheduler: resume: event at t=%v: completion of running slice %d, which finishes at %v", ev.At, sl.Serial, sl.Finish)
+			}
+			if timed[sl.Serial] {
+				return fmt.Errorf("scheduler: resume: event at t=%v: second completion of running slice %d", ev.At, sl.Serial)
+			}
+			timed[sl.Serial] = true
 		case tagArrival:
 			// injectArrival queues a job's arrival once, at its submit
 			// time with sequence number index+1.
@@ -721,6 +750,13 @@ func (s *sim) restore(data []byte) error {
 	}
 	if err := arriveBefore(units.Seconds(math.Inf(1)), math.MaxUint64); err != nil {
 		return err
+	}
+	// A running slice without its completion would never finish, and
+	// neither would the run.
+	for serial, sl := range s.bySerial {
+		if sl != nil && sl.Running() && !timed[serial] {
+			return fmt.Errorf("scheduler: resume: running slice %d has no pending completion at its finish time %v", serial, sl.Finish)
+		}
 	}
 	// Every job that has not arrived waits on exactly one pending
 	// arrival: a trace job from TraceNext on, an injected job through

@@ -15,6 +15,7 @@ import (
 	"iscope/internal/battery"
 	"iscope/internal/brownout"
 	"iscope/internal/checkpoint"
+	"iscope/internal/cluster"
 	"iscope/internal/faults"
 	"iscope/internal/invariants"
 	"iscope/internal/scheduler/testgrid"
@@ -547,6 +548,39 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 	payload := func(edit func(*eventTag)) func(*runSnapshot) {
 		return func(snap *runSnapshot) { edit(&snap.Events[reprofile].Tag) }
 	}
+	// procEdit rewrites one processor's stored slices.
+	procEdit := func(id int, edit func(*cluster.ProcState)) func(*runSnapshot) {
+		return func(snap *runSnapshot) {
+			snap.Cluster.Procs = slices.Clone(snap.Cluster.Procs)
+			ps := &snap.Cluster.Procs[id]
+			ps.Current = slices.Clone(ps.Current)
+			ps.Queue = slices.Clone(ps.Queue)
+			edit(ps)
+		}
+	}
+	rich := snaps["rich"]
+	busy := slices.IndexFunc(rich.Cluster.Procs, func(ps cluster.ProcState) bool { return len(ps.Current) == 1 })
+	queued := slices.IndexFunc(rich.Cluster.Procs, func(ps cluster.ProcState) bool { return len(ps.Queue) > 0 })
+	if busy < 0 || queued < 0 {
+		t.Fatalf("the rich snapshot holds no running slice (%d) or no queued one (%d)", busy, queued)
+	}
+	cur := rich.Cluster.Procs[busy].Current[0]
+	completion := slices.IndexFunc(rich.Events, func(ev snapEvent) bool {
+		return ev.Tag.Kind == tagCompletion && int(ev.Tag.A) == cur.Serial && int(ev.Tag.B) == cur.Gen
+	})
+	if completion < 0 {
+		t.Fatalf("the rich snapshot holds no completion of running slice %d", cur.Serial)
+	}
+	dropCompletion := func(snap *runSnapshot) { snap.Events = slices.Delete(snap.Events, completion, completion+1) }
+	lateCompletion := func(snap *runSnapshot) { snap.Events[completion].At += 60 }
+	// dupCompletion appends a copy of that completion under a fresh
+	// sequence number.
+	dupCompletion := func(snap *runSnapshot) {
+		snap.Seq++
+		ev := snap.Events[completion]
+		ev.Seq = snap.Seq
+		snap.Events = append(snap.Events, ev)
+	}
 
 	// The controls: the unedited snapshots, and one with an extra event
 	// that is valid anywhere, resume.
@@ -600,6 +634,17 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		{"repair without faults", "bare", add(eventTag{Kind: tagRepaired}), "repair event for processor 0 invalid"},
 		{"repair processor out of range", "rich", add(eventTag{Kind: tagRepaired, A: 32}), "repair event for processor 32 invalid"},
 		{"margin check without faults", "bare", add(eventTag{Kind: tagMargin}), "margin event with fault injection disabled"},
+		{"running slice without its completion", "rich", dropCompletion, "has no pending completion"},
+		{"second completion of a running slice", "rich", dupCompletion, "second completion of running slice"},
+		{"completion off a running slice's finish", "rich", lateCompletion, "which finishes at"},
+		{"slice stored under another processor", "rich", procEdit(busy, func(ps *cluster.ProcState) { ps.Current[0].ProcID = (busy + 1) % 32 }), "but names processor"},
+		{"queued slice stored under another processor", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].ProcID = (queued + 1) % 32 }), "but names processor"},
+		{"current slice not running", "rich", procEdit(busy, func(ps *cluster.ProcState) { ps.Current[0].Running = false }), "is not running"},
+		{"queued slice marked running", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].Running = true }), "marked running"},
+		{"running level above the DVFS table", "rich", procEdit(busy, func(ps *cluster.ProcState) { ps.Current[0].Level = 99 }), "outside the"},
+		{"assigned level negative", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].AssignedLevel = -1 }), "outside the"},
+		{"slice serial negative", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].Serial = -5 }), "slice serial -5, outside the"},
+		{"slice serial not yet issued", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].Serial = rich.SliceSeq }), "issued"},
 		{"kind zero", "rich", add(eventTag{}), "unknown event tag kind 0"},
 		{"kind past the last", "rich", add(eventTag{Kind: tagTelemetry + 1}), "unknown event tag kind"},
 	} {

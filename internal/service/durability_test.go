@@ -148,12 +148,15 @@ func TestSaveAllShortWrite(t *testing.T) {
 
 // TestLoadAllEraMismatch: metadata and snapshot from different
 // checkpoint eras must fail the load with ErrEraMismatch and leave
-// the server empty — including tenants that restored fine before the
-// bad one was reached.
+// the server empty, holding no fleet — including tenants that
+// restored fine. Healthy tenants sort before, between and after the
+// corrupted ones. With two corrupted tenants, one in the middle and
+// one at the end, the error names the first in sorted order whichever
+// worker reaches it first.
 func TestLoadAllEraMismatch(t *testing.T) {
-	corruptions := map[string]func(t *testing.T, dir string){
-		"missing-snapshot": func(t *testing.T, dir string) {
-			snaps, _ := filepath.Glob(filepath.Join(dir, "zz-dur.*"+snapSuffix))
+	corruptions := map[string]func(t *testing.T, dir, name string){
+		"missing-snapshot": func(t *testing.T, dir, name string) {
+			snaps, _ := filepath.Glob(filepath.Join(dir, name+".*"+snapSuffix))
 			if len(snaps) == 0 {
 				t.Fatal("fixture wrote no snapshot")
 			}
@@ -161,8 +164,8 @@ func TestLoadAllEraMismatch(t *testing.T) {
 				os.Remove(p)
 			}
 		},
-		"wrong-crc": func(t *testing.T, dir string) {
-			path := filepath.Join(dir, "zz-dur"+metaSuffix)
+		"wrong-crc": func(t *testing.T, dir, name string) {
+			path := filepath.Join(dir, name+metaSuffix)
 			raw, err := os.ReadFile(path)
 			if err != nil {
 				t.Fatal(err)
@@ -181,50 +184,57 @@ func TestLoadAllEraMismatch(t *testing.T) {
 			}
 		},
 	}
+	placements := map[string][]string{
+		"last":            {"zz-dur"},
+		"middle-and-last": {"mm-dur", "zz-dur"},
+	}
 	for name, corrupt := range corruptions {
 		t.Run(name, func(t *testing.T) {
-			dir := t.TempDir()
-			srv := durableServer(dir)
-			defer srv.Close()
-			ts := httptest.NewServer(srv.Handler())
-			defer ts.Close()
-			c := &Client{BaseURL: ts.URL}
-			// Two tenants; the corrupted one sorts last so the healthy
-			// one restores first and must still be evicted on failure.
-			okSpec := testSpec("aa-ok")
-			badSpec := testSpec("zz-dur")
-			for _, spec := range []TenantSpec{okSpec, badSpec} {
-				if _, err := c.CreateTenant(context.Background(), spec); err != nil {
-					t.Fatal(err)
-				}
-			}
-			if err := srv.SaveAll(dir); err != nil {
-				t.Fatal(err)
-			}
-			srv.Close()
-			corrupt(t, dir)
+			for placement, bad := range placements {
+				t.Run(placement, func(t *testing.T) {
+					dir := t.TempDir()
+					srv := durableServer(dir)
+					defer srv.Close()
+					ts := httptest.NewServer(srv.Handler())
+					defer ts.Close()
+					c := &Client{BaseURL: ts.URL}
+					for _, name := range []string{"aa-ok", "mm-dur", "pp-ok", "zz-dur"} {
+						if _, err := c.CreateTenant(context.Background(), testSpec(name)); err != nil {
+							t.Fatal(err)
+						}
+					}
+					if err := srv.SaveAll(dir); err != nil {
+						t.Fatal(err)
+					}
+					srv.Close()
+					for _, name := range bad {
+						corrupt(t, dir, name)
+					}
 
-			re := durableServer(dir)
-			defer re.Close()
-			n, err := re.LoadAll(dir)
-			var lerr *LoadError
-			if !errors.As(err, &lerr) {
-				t.Fatalf("LoadAll on corrupted era: got %v, want *LoadError", err)
-			}
-			if !errors.Is(err, ErrEraMismatch) {
-				t.Fatalf("LoadAll error %v does not wrap ErrEraMismatch", err)
-			}
-			if lerr.Tenant != "zz-dur" {
-				t.Fatalf("LoadError names %q", lerr.Tenant)
-			}
-			if n != 0 {
-				t.Fatalf("LoadAll reported %d tenants despite failing", n)
-			}
-			re.mu.RLock()
-			left := len(re.tenants)
-			re.mu.RUnlock()
-			if left != 0 {
-				t.Fatalf("failed load left %d partial tenants", left)
+					re := durableServer(dir)
+					defer re.Close()
+					n, err := re.LoadAll(dir)
+					var lerr *LoadError
+					if !errors.As(err, &lerr) {
+						t.Fatalf("LoadAll on corrupted era: got %v, want *LoadError", err)
+					}
+					if !errors.Is(err, ErrEraMismatch) {
+						t.Fatalf("LoadAll error %v does not wrap ErrEraMismatch", err)
+					}
+					if lerr.Tenant != bad[0] {
+						t.Fatalf("LoadError names %q, want %q", lerr.Tenant, bad[0])
+					}
+					if n != 0 {
+						t.Fatalf("LoadAll reported %d tenants despite failing", n)
+					}
+					re.mu.RLock()
+					left := len(re.tenants)
+					re.mu.RUnlock()
+					if left != 0 {
+						t.Fatalf("failed load left %d partial tenants", left)
+					}
+					wantFleetsHeld(t, re, 0)
+				})
 			}
 		})
 	}
@@ -438,6 +448,90 @@ func TestJournalReplayDeterminism(t *testing.T) {
 	if !bytes.Equal(ja, jb) {
 		t.Fatalf("replayed result diverged:\nreplay %s\nref    %s", ja, jb)
 	}
+}
+
+// TestLoadAllConcurrent: six durable tenants, one per scheme on a
+// shared fleet plus one on a second fleet, each with journaled submits
+// and advances past its creation-era checkpoint, die without a
+// checkpoint. LoadAll restores them concurrently: every tenant replays
+// to its pre-crash snapshot bytes onto the two fleets, and once sealed
+// ends with the pre-crash tenant's Result. A second LoadAll of the
+// same directory is refused and empties the server.
+func TestLoadAllConcurrent(t *testing.T) {
+	dir := t.TempDir()
+	srv := durableServer(dir)
+	h := srv.Handler()
+	other := testSpec("other")
+	other.FleetSeed++
+	specs := append(schemeSpecs(), other)
+	subs := submissions(testgrid.Jobs(t, 33, 30, 0.3).Jobs)
+	half := len(subs) / 2
+	for _, spec := range specs {
+		wantStatus(t, do(t, h, "POST", "/v1/tenants", spec), http.StatusCreated)
+		path := "/v1/tenants/" + spec.Name
+		wantStatus(t, do(t, h, "POST", path+"/jobs", SubmitRequest{Jobs: subs[:half]}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", path+"/advance", AdvanceRequest{To: subs[half].At - 1}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", path+"/jobs", SubmitRequest{Jobs: subs[half:]}), http.StatusOK)
+		wantStatus(t, do(t, h, "POST", path+"/advance", AdvanceRequest{To: subs[len(subs)-1].At}), http.StatusOK)
+	}
+	preCrash := make([]*tenant, len(specs))
+	snaps := make([][]byte, len(specs))
+	for i, spec := range specs {
+		preCrash[i], _ = srv.lookup(spec.Name)
+		snaps[i] = tenantSnapshot(t, srv, spec.Name)
+	}
+	// Close without SaveAll: like a crash, everything since each
+	// creation-time checkpoint lives only in the journals. The closed
+	// tenants' steppers still run, and with their journals detached a
+	// seal journals nothing.
+	srv.Close()
+
+	re := durableServer(dir)
+	defer re.Close()
+	if n, err := re.LoadAll(dir); err != nil || n != len(specs) {
+		t.Fatalf("LoadAll: %d tenants, err %v", n, err)
+	}
+	wantFleetsHeld(t, re, 2)
+	for i, spec := range specs {
+		if got := tenantSnapshot(t, re, spec.Name); !bytes.Equal(got, snaps[i]) {
+			t.Fatalf("%s: replayed snapshot diverged from pre-crash state (%d vs %d bytes)", spec.Name, len(got), len(snaps[i]))
+		}
+		replayed, _ := re.lookup(spec.Name)
+		var results [2][]byte
+		for k, tn := range []*tenant{preCrash[i], replayed} {
+			if aerr := tn.seal(); aerr != nil {
+				t.Fatalf("%s: seal: %v", spec.Name, aerr)
+			}
+			res, aerr := tn.result()
+			if aerr != nil {
+				t.Fatalf("%s: result: %v", spec.Name, aerr)
+			}
+			js, err := json.Marshal(res)
+			if err != nil {
+				t.Fatal(err)
+			}
+			results[k] = js
+		}
+		if !bytes.Equal(results[0], results[1]) {
+			t.Fatalf("%s: replayed Result diverged:\npre-crash %s\nreplayed  %s", spec.Name, results[0], results[1])
+		}
+	}
+
+	// Loading the same directory again restores every tenant a second
+	// time, then refuses the first name the server already holds and
+	// closes both sets, leaving no tenant and no fleet behind.
+	_, err := re.LoadAll(dir)
+	var lerr *LoadError
+	if !errors.As(err, &lerr) || lerr.Tenant != "other" || !strings.Contains(err.Error(), "already exists") {
+		t.Fatalf("second LoadAll: got %v, want a *LoadError naming \"other\" as already existing", err)
+	}
+	re.mu.RLock()
+	left := len(re.tenants)
+	re.mu.RUnlock()
+	if left != 0 {
+		t.Fatalf("refused load left %d tenants", left)
+	}
+	wantFleetsHeld(t, re, 0)
 }
 
 func mustResult(t *testing.T, s *Server, name string) (any, *APIError) {

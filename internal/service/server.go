@@ -585,38 +585,58 @@ func (s *Server) Checkpoint() (int, error) {
 // LoadAll restores every tenant saved in dir: newest checkpoint era,
 // then — on a durable server — the journal suffix replayed through
 // the same request-handling code that produced it, rebuilding the
-// exact pre-crash state. Any failure is a *LoadError and leaves the
-// server empty: every tenant restored so far is closed, because a
-// partial fleet that silently dropped a tenant is worse than a clean
-// refusal to start.
+// exact pre-crash state. Tenants are independent (each has its own
+// stepper, lock and journal directory, and a shared fleet is
+// read-only), so they restore concurrently on GOMAXPROCS workers of the
+// coarse pool; one worker runs them inline. Any failure is a
+// *LoadError naming the first failing tenant in sorted order, whichever
+// worker got there first, and it leaves the server empty: every
+// tenant restored is closed, because a partial fleet that silently
+// dropped a tenant is worse than a clean refusal to start.
 func (s *Server) LoadAll(dir string) (int, error) {
 	metas, err := filepath.Glob(filepath.Join(dir, "*"+metaSuffix))
 	if err != nil {
 		return 0, &LoadError{Tenant: dir, Err: err}
 	}
 	sort.Strings(metas)
+	names := make([]string, len(metas))
+	for i, path := range metas {
+		names[i] = strings.TrimSuffix(filepath.Base(path), metaSuffix)
+	}
+	loaded := make([]*tenant, len(names))
+	errs := make([]error, len(names))
+	pool.Feed(nil, pool.Workers(0, len(names)), len(names), func(i int) {
+		loaded[i], errs[i] = s.loadTenant(dir, names[i], metas[i])
+	})
+	// fail closes every restored tenant, none of them registered yet,
+	// and then the server's own.
 	fail := func(name string, err error) (int, error) {
+		for _, t := range loaded {
+			if t != nil {
+				t.close()
+			}
+		}
 		s.Close()
 		return 0, &LoadError{Tenant: name, Err: err}
 	}
-	for _, path := range metas {
-		name := strings.TrimSuffix(filepath.Base(path), metaSuffix)
-		t, err := s.loadTenant(dir, name, path)
+	for i, err := range errs {
 		if err != nil {
-			return fail(name, err)
+			return fail(names[i], err)
 		}
-		s.mu.Lock()
+	}
+	s.mu.Lock()
+	for _, name := range names {
 		if _, exists := s.tenants[name]; exists {
 			s.mu.Unlock()
-			t.close()
 			return fail(name, fmt.Errorf("tenant already exists"))
 		}
-		s.tenants[name] = t
-		s.mu.Unlock()
 	}
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.tenants), nil
+	for i, name := range names {
+		s.tenants[name] = loaded[i]
+	}
+	n := len(s.tenants)
+	s.mu.Unlock()
+	return n, nil
 }
 
 // loadTenant restores one tenant: verify the checkpoint era, rebuild
