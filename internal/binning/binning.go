@@ -15,6 +15,7 @@ import (
 	"fmt"
 	"slices"
 
+	"iscope/internal/pool"
 	"iscope/internal/power"
 	"iscope/internal/units"
 	"iscope/internal/variation"
@@ -77,8 +78,16 @@ func Assign(chips []*variation.Chip, tbl *power.Table, nbins int, factoryGuard f
 	for id, ch := range chips {
 		keyed[id] = keyedChip{key: ch.NominalPower(fmax), id: id}
 	}
+	// Keys are finite, so < and > order them as cmp.Compare does, and
+	// the IDs are compared only on a tie.
 	slices.SortFunc(keyed, func(a, b keyedChip) int {
-		return cmp.Or(cmp.Compare(a.key, b.key), cmp.Compare(a.id, b.id))
+		switch {
+		case a.key < b.key:
+			return -1
+		case a.key > b.key:
+			return 1
+		}
+		return cmp.Compare(a.id, b.id)
 	})
 	order := make([]int, len(chips))
 	for i := range keyed {
@@ -105,14 +114,28 @@ func Assign(chips []*variation.Chip, tbl *power.Table, nbins int, factoryGuard f
 			WorstNominalPower: units.Watts(keyed[hi-1].key),
 		}
 	}
-	// Each bin's worst-member MinVdd per level, in one pass in chip-ID
-	// order: a maximum does not depend on the order it is taken in.
-	worst := make([]float64, nbins*levels)
-	for id, ch := range chips {
-		w := worst[b.ChipBin[id]*levels:][:levels]
-		for l := range w {
-			if v := ch.MinVdd(l, float64(tbl.Levels[l].Vnom), false); v > w[l] {
-				w[l] = v
+	// Each bin's worst-member MinVdd per level. Pool workers take the
+	// maxima over chunks of chip IDs, and the chunks' maxima merge in
+	// chunk order: a maximum does not depend on the order it is taken in.
+	span := nbins * levels
+	chunks := (len(chips) + assignChunk - 1) / assignChunk
+	part := make([]float64, chunks*span)
+	pool.Feed(nil, pool.Workers(0, chunks), chunks, func(c int) {
+		w := part[c*span : (c+1)*span]
+		for id := c * assignChunk; id < min((c+1)*assignChunk, len(chips)); id++ {
+			wb := w[b.ChipBin[id]*levels:][:levels]
+			for l := range wb {
+				if v := chips[id].MinVdd(l, float64(tbl.Levels[l].Vnom), false); v > wb[l] {
+					wb[l] = v
+				}
+			}
+		}
+	})
+	worst := part[:span]
+	for c := 1; c < chunks; c++ {
+		for j, v := range part[c*span : (c+1)*span] {
+			if v > worst[j] {
+				worst[j] = v
 			}
 		}
 	}
@@ -131,6 +154,10 @@ func Assign(chips []*variation.Chip, tbl *power.Table, nbins int, factoryGuard f
 	}
 	return b, nil
 }
+
+// assignChunk is the number of chips one pool task of Assign scans for
+// its bins' worst MinVdd.
+const assignChunk = 1024
 
 // keyedChip is a chip ID with its binning key, nominal top-level power.
 type keyedChip struct {

@@ -89,12 +89,16 @@ func tiedChips(n int) []*variation.Chip {
 
 func TestAssignMatchesStableSortOracle(t *testing.T) {
 	tbl := power.DefaultTable()
+	// The multi-chunk fleets span several of Assign's pool tasks, so
+	// their bins' worst MinVdd merges partial maxima.
 	fleets := map[string][]*variation.Chip{
-		"tied-1":    tiedChips(1),
-		"tied-7":    tiedChips(7),
-		"tied-100":  tiedChips(100),
-		"tied-1001": tiedChips(1001),
-		"generated": fleet(t, 500, 4),
+		"tied-1":                tiedChips(1),
+		"tied-7":                tiedChips(7),
+		"tied-100":              tiedChips(100),
+		"tied-1001":             tiedChips(1001),
+		"tied-multi-chunk":      tiedChips(3*assignChunk + 5),
+		"generated":             fleet(t, 500, 4),
+		"generated-multi-chunk": fleet(t, 2*assignChunk+7, 4),
 	}
 	for name, chips := range fleets {
 		for _, nbins := range []int{1, 2, 3, 5, 8} {

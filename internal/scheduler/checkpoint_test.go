@@ -561,8 +561,9 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 	rich := snaps["rich"]
 	busy := slices.IndexFunc(rich.Cluster.Procs, func(ps cluster.ProcState) bool { return len(ps.Current) == 1 })
 	queued := slices.IndexFunc(rich.Cluster.Procs, func(ps cluster.ProcState) bool { return len(ps.Queue) > 0 })
-	if busy < 0 || queued < 0 {
-		t.Fatalf("the rich snapshot holds no running slice (%d) or no queued one (%d)", busy, queued)
+	unqueued := slices.IndexFunc(rich.Cluster.Procs, func(ps cluster.ProcState) bool { return len(ps.Queue) == 0 })
+	if busy < 0 || queued < 0 || unqueued < 0 {
+		t.Fatalf("the rich snapshot holds no running slice (%d), no queued one (%d) or no empty queue (%d)", busy, queued, unqueued)
 	}
 	cur := rich.Cluster.Procs[busy].Current[0]
 	completion := slices.IndexFunc(rich.Events, func(ev snapEvent) bool {
@@ -645,6 +646,9 @@ func TestResumeRejectsMalformedEvents(t *testing.T) {
 		{"assigned level negative", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].AssignedLevel = -1 }), "outside the"},
 		{"slice serial negative", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].Serial = -5 }), "slice serial -5, outside the"},
 		{"slice serial not yet issued", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Queue[0].Serial = rich.SliceSeq }), "issued"},
+		{"backlog off its queue's durations", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Backlog = 0 }), "queued slices take"},
+		{"backlog NaN", "rich", procEdit(queued, func(ps *cluster.ProcState) { ps.Backlog = units.Seconds(math.NaN()) }), "queued slices take"},
+		{"backlog on an empty queue", "rich", procEdit(unqueued, func(ps *cluster.ProcState) { ps.Backlog = 60 }), "0 queued slices take 0 s"},
 		{"kind zero", "rich", add(eventTag{}), "unknown event tag kind 0"},
 		{"kind past the last", "rich", add(eventTag{Kind: tagTelemetry + 1}), "unknown event tag kind"},
 	} {

@@ -45,31 +45,48 @@ func (f *CorrelatedField) N() int { return f.n }
 
 // Fill draws one realization of the field into out: an n×n row-major
 // grid of zero-mean unit-variance Gaussians with the configured spatial
-// correlation. tmp is n×n scratch. Fill allocates nothing.
+// correlation. tmp is n×n scratch. Fill allocates nothing. It is draw
+// followed by smooth; only draw reads the stream.
 func (f *CorrelatedField) Fill(r *rng.Rand, out, tmp []float64) {
+	f.draw(r, out)
+	f.smooth(out, tmp)
+}
+
+// draw fills out with the field's n×n raw unit Gaussians. The grid is
+// drawn row-major; with a kernel it is stored transposed (cell (i,j) at
+// out[j*n+i]), so smooth's row pass reads contiguous lines.
+func (f *CorrelatedField) draw(r *rng.Rand, out []float64) {
 	n := f.n
-	out, tmp = out[:n*n], tmp[:n*n]
+	out = out[:n*n]
 	if f.radius == 0 {
 		for i := range out {
 			out[i] = r.Normal(0, 1)
 		}
 		return
 	}
-	// The raw grid is drawn row-major but stored transposed (cell (i,j)
-	// at out[j*n+i]), so the row pass reads contiguous lines.
 	for i := 0; i < n; i++ {
 		for j := 0; j < n; j++ {
 			out[j*n+i] = r.Normal(0, 1)
 		}
 	}
-	// Separable convolution with edge clamping. Clamping folds
-	// out-of-range taps onto the border cells, so each output index gets
-	// its own effective weight vector; normalizing by the L2 norm of
-	// those effective weights makes every 1-D pass exactly
-	// variance-preserving for iid inputs. Rows are generated
-	// independently, so the column pass again sees independent unit-
-	// variance inputs down each column and the final field has unit
-	// variance everywhere.
+}
+
+// smooth turns draw's raw grid in out into the correlated field, in
+// place, using tmp (n×n) as scratch; white noise is left as drawn.
+//
+// It is a separable convolution with edge clamping. Clamping folds
+// out-of-range taps onto the border cells, so each output index gets
+// its own effective weight vector; normalizing by the L2 norm of those
+// effective weights makes every 1-D pass exactly variance-preserving
+// for iid inputs. Rows are generated independently, so the column pass
+// again sees independent unit-variance inputs down each column and the
+// final field has unit variance everywhere.
+func (f *CorrelatedField) smooth(out, tmp []float64) {
+	if f.radius == 0 {
+		return
+	}
+	n := f.n
+	out, tmp = out[:n*n], tmp[:n*n]
 	f.pass(tmp, out, 1, n) // rows: tmp[i][j] from cells (i, j-r..j+r)
 	f.pass(out, tmp, n, 1) // columns: out[i][j] from tmp (i-r..i+r, j)
 }

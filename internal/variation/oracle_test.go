@@ -92,3 +92,61 @@ func TestFillMatchesOracle(t *testing.T) {
 		}
 	}
 }
+
+// TestGenerateFleetMatchesChipByChip pins the pipelined fleet generator
+// to GenerateChip: on twin models, GenerateFleet(n) must make exactly
+// the chips GenerateChip(0…n−1) makes, bit for bit, and leave the
+// stream at the same position. The sizes cover one chip, a partial
+// first chunk, one exact chunk, one chip into the second chunk and a
+// partial last chunk after several full ones; the configurations are
+// those the fleet digests pin.
+func TestGenerateFleetMatchesChipByChip(t *testing.T) {
+	configs := map[string]func(*Config){
+		"default":        func(*Config) {},
+		"cores=2":        func(c *Config) { c.CoresPerChip = 2 },
+		"cores=6":        func(c *Config) { c.CoresPerChip = 6 },
+		"grid=3":         func(c *Config) { c.GridSize = 3 },
+		"grid=16,corr=2": func(c *Config) { c.GridSize, c.CorrRange = 16, 2 },
+		"corr=0":         func(c *Config) { c.CorrRange = 0 },
+	}
+	for name, edit := range configs {
+		cfg := DefaultConfig(11)
+		edit(&cfg)
+		for _, n := range []int{1, drawChunk - 1, drawChunk, drawChunk + 1, 3*drawChunk + 5} {
+			fleetModel, chipModel := mustModel(t, cfg), mustModel(t, cfg)
+			fleet := fleetModel.GenerateFleet(n)
+			if len(fleet) != n {
+				t.Fatalf("%s: GenerateFleet(%d) made %d chips", name, n, len(fleet))
+			}
+			for id, got := range fleet {
+				if want := chipModel.GenerateChip(id); !sameChip(got, want) {
+					t.Fatalf("%s, n=%d: chip %d is %+v, GenerateChip made %+v", name, n, id, got, want)
+				}
+			}
+			if fleetModel.r.Uint64() != chipModel.r.Uint64() {
+				t.Fatalf("%s, n=%d: GenerateFleet left the stream elsewhere than GenerateChip", name, n)
+			}
+		}
+	}
+}
+
+// sameChip reports whether a and b hold the same fields, comparing
+// floats by their bits.
+func sameChip(a, b *Chip) bool {
+	same := func(x, y float64) bool { return math.Float64bits(x) == math.Float64bits(y) }
+	if a.ID != b.ID || !same(a.Alpha, b.Alpha) || !same(a.Beta, b.Beta) || len(a.Cores) != len(b.Cores) {
+		return false
+	}
+	for i := range a.Cores {
+		ca, cb := &a.Cores[i], &b.Cores[i]
+		if !same(ca.GPUPenalty, cb.GPUPenalty) || !same(ca.SystematicZ, cb.SystematicZ) || len(ca.Margins) != len(cb.Margins) {
+			return false
+		}
+		for l := range ca.Margins {
+			if !same(ca.Margins[l], cb.Margins[l]) {
+				return false
+			}
+		}
+	}
+	return true
+}

@@ -19,7 +19,9 @@ package variation
 import (
 	"fmt"
 	"math"
+	"sync"
 
+	"iscope/internal/pool"
 	"iscope/internal/rng"
 )
 
@@ -166,16 +168,38 @@ func (ch *Chip) NominalPower(fGHz float64) float64 {
 // Model generates chips from a Config. A Model is not safe for
 // concurrent use: it consumes one random stream and generates into
 // scratch buffers it owns.
+//
+// Generating a chip has two halves. draw makes all of the chip's random
+// draws, in the one order the stream has always been read in, and
+// stores them; build turns the stored draws into the chip. Only draw
+// touches the stream, so GenerateFleet draws chips in order on the
+// calling goroutine while pool workers build earlier ones.
 type Model struct {
 	cfg   Config
 	field *CorrelatedField
 	r     *rng.Rand
 
-	// Per-chip scratch: the n×n field and its convolution buffer, and
-	// the per-core systematics with their cell counts.
-	grid, tmp []float64
-	sys       []float64
-	cnt       []int
+	// stride is the number of values draw stores per chip.
+	stride int
+	// GenerateChip's one-chip draws and build scratch.
+	draws []float64
+	scr   scratch
+}
+
+// scratch is what build needs besides a chip's draws: the convolution's
+// second buffer, and the per-core systematics with their cell counts.
+type scratch struct {
+	tmp []float64
+	sys []float64
+	cnt []int
+}
+
+func newScratch(cfg *Config) scratch {
+	return scratch{
+		tmp: make([]float64, cfg.GridSize*cfg.GridSize),
+		sys: make([]float64, cfg.CoresPerChip),
+		cnt: make([]int, cfg.CoresPerChip),
+	}
 }
 
 // NewModel validates cfg and constructs a generator.
@@ -184,14 +208,14 @@ func NewModel(cfg Config) (*Model, error) {
 		return nil, err
 	}
 	n := cfg.GridSize
+	stride := n*n + cfg.CoresPerChip*(cfg.NumLevels+2) + 2
 	return &Model{
-		cfg:   cfg,
-		field: NewCorrelatedField(n, cfg.CorrRange),
-		r:     rng.Named(cfg.Seed, "variation"),
-		grid:  make([]float64, n*n),
-		tmp:   make([]float64, n*n),
-		sys:   make([]float64, cfg.CoresPerChip),
-		cnt:   make([]int, cfg.CoresPerChip),
+		cfg:    cfg,
+		field:  NewCorrelatedField(n, cfg.CorrRange),
+		r:      rng.Named(cfg.Seed, "variation"),
+		stride: stride,
+		draws:  make([]float64, stride),
+		scr:    newScratch(&cfg),
 	}, nil
 }
 
@@ -204,68 +228,139 @@ func (m *Model) Config() Config { return m.cfg }
 // (Config, generation order).
 func (m *Model) GenerateChip(id int) *Chip {
 	ch := &Chip{}
-	m.generate(ch, id, make([]Core, m.cfg.CoresPerChip), make([]float64, m.cfg.CoresPerChip*m.cfg.NumLevels))
+	m.draw(m.draws)
+	m.build(ch, id, m.draws, make([]Core, m.cfg.CoresPerChip), make([]float64, m.cfg.CoresPerChip*m.cfg.NumLevels), &m.scr)
 	return ch
 }
 
-// GenerateFleet creates n chips with IDs 0..n-1. The chips, their cores
-// and their margins live in three slabs; every chip's Cores and every
+// drawChunk is the number of chips GenerateFleet draws while the pool
+// builds the previous chunk; buildBlock is the number of chips one pool
+// task builds. Two chunks of draws are live at once, 190 KB each for
+// the default 8×8 quad-core die.
+const (
+	drawChunk  = 256
+	buildBlock = 16
+)
+
+// GenerateFleet creates n chips with IDs 0..n-1, exactly the chips n
+// successive GenerateChip calls would make. The chips, their cores and
+// their margins live in three slabs; every chip's Cores and every
 // core's Margins is a full slice expression over its slab, so an
 // append to one cannot reach a neighbour.
+//
+// The calling goroutine draws the chips chunk by chunk into a double
+// buffer, while GOMAXPROCS pool workers build the previous chunk from
+// its draws. A chip's build reads only its own draws, the immutable
+// configuration and field, and the scratch of its pool task, so every
+// worker count makes the same chips.
 func (m *Model) GenerateFleet(n int) []*Chip {
-	c, l := m.cfg.CoresPerChip, m.cfg.NumLevels
+	c, l, stride := m.cfg.CoresPerChip, m.cfg.NumLevels, m.stride
 	chips := make([]*Chip, n)
 	slab := make([]Chip, n)
 	cores := make([]Core, n*c)
 	margins := make([]float64, n*c*l)
-	for i := range chips {
-		chips[i] = &slab[i]
-		m.generate(chips[i], i, cores[i*c:(i+1)*c:(i+1)*c], margins[i*c*l:(i+1)*c*l:(i+1)*c*l])
+
+	chunk := min(n, drawChunk)
+	draws := make([]float64, 2*chunk*stride)
+	scr := make([]scratch, (chunk+buildBlock-1)/buildBlock)
+	for i := range scr {
+		scr[i] = newScratch(&m.cfg)
 	}
+	var building sync.WaitGroup
+	for lo := 0; lo < n; lo += chunk {
+		hi := min(lo+chunk, n)
+		d := draws[lo/chunk%2*chunk*stride:][:chunk*stride]
+		for i := lo; i < hi; i++ {
+			m.draw(d[(i-lo)*stride:][:stride])
+		}
+		// The previous chunk's build reads the other half of draws; the
+		// next chunk draws into it once that build is done.
+		building.Wait()
+		building.Add(1)
+		go func() {
+			defer building.Done()
+			blocks := (hi - lo + buildBlock - 1) / buildBlock
+			pool.Feed(nil, pool.Workers(0, blocks), blocks, func(b int) {
+				for i := lo + b*buildBlock; i < min(lo+(b+1)*buildBlock, hi); i++ {
+					chips[i] = &slab[i]
+					m.build(chips[i], i, d[(i-lo)*stride:][:stride],
+						cores[i*c:(i+1)*c:(i+1)*c], margins[i*c*l:(i+1)*c*l:(i+1)*c*l], &scr[b])
+				}
+			})
+		}()
+	}
+	building.Wait()
 	return chips
 }
 
-// generate fills ch as chip id, handing it cores (CoresPerChip long) and
-// margins (CoresPerChip×NumLevels) as backing storage. Draws come in a
-// fixed order: the field, then per core its random part, its level
-// jitters and its GPU penalty, then alpha, then beta's Poisson draw.
-func (m *Model) generate(ch *Chip, id int, cores []Core, margins []float64) {
+// draw makes one chip's random draws into d (stride long), in the order
+// the stream has always been read in: the field's raw cells; then per
+// core its random part, its level jitters and its GPU penalty; then
+// alpha; then beta's Poisson draw.
+func (m *Model) draw(d []float64) {
 	cfg := &m.cfg
-	m.field.Fill(m.r, m.grid, m.tmp)
-	sys := m.sys
-	coreSystematics(m.grid, m.field.n, sys, m.cnt)
+	nn := m.field.n * m.field.n
+	m.field.draw(m.r, d[:nn])
+	d = d[nn:]
+	levels := cfg.NumLevels
+	for c := 0; c < cfg.CoresPerChip; c++ {
+		core := d[:levels+2]
+		for j := 0; j <= levels; j++ {
+			core[j] = m.r.Normal(0, 1) // the random part, then the level jitters
+		}
+		core[levels+1] = m.r.Normal(cfg.GPUPenaltyMean, cfg.GPUPenaltySigma)
+		d = d[levels+2:]
+	}
+	d[0] = m.r.Normal(cfg.AlphaMean, cfg.AlphaSigma)
+	d[1] = float64(m.r.Poisson(cfg.BetaMean))
+}
+
+// build fills ch as chip id from its draws d, as laid out by draw,
+// handing it cores (CoresPerChip long) and margins
+// (CoresPerChip×NumLevels) as backing storage. It smooths the field in
+// place in d.
+func (m *Model) build(ch *Chip, id int, d []float64, cores []Core, margins []float64, s *scratch) {
+	cfg := &m.cfg
+	nn := m.field.n * m.field.n
+	grid := d[:nn]
+	m.field.smooth(grid, s.tmp)
+	sys := s.sys
+	coreSystematics(grid, m.field.n, sys, s.cnt)
+	d = d[nn:]
 
 	meanSys := 0.0
-	for _, s := range sys {
-		meanSys += s
+	for _, v := range sys {
+		meanSys += v
 	}
 	meanSys /= float64(len(sys))
 
 	levels := cfg.NumLevels
 	for i := range cores {
+		core := d[:levels+2]
 		ms := margins[i*levels : (i+1)*levels : (i+1)*levels]
 		base := cfg.MarginMean +
 			cfg.MarginSigmaSys*sys[i] +
-			cfg.MarginSigmaRand*m.r.Normal(0, 1)
+			cfg.MarginSigmaRand*core[0]
 		for l := range ms {
-			v := base + cfg.MarginLevelJit*m.r.Normal(0, 1)
+			v := base + cfg.MarginLevelJit*core[1+l]
 			ms[l] = clamp(v, cfg.MarginMin, cfg.MarginMax)
 		}
 		cores[i] = Core{
 			Margins:     ms,
-			GPUPenalty:  math.Max(0, m.r.Normal(cfg.GPUPenaltyMean, cfg.GPUPenaltySigma)),
+			GPUPenalty:  math.Max(0, core[levels+1]),
 			SystematicZ: sys[i],
 		}
+		d = d[levels+2:]
 	}
 
 	ch.ID = id
 	ch.Cores = cores
-	ch.Alpha = math.Max(0.1, m.r.Normal(cfg.AlphaMean, cfg.AlphaSigma))
+	ch.Alpha = math.Max(0.1, d[0])
 	leakScale := 1 + cfg.LeakageCorr*meanSys
 	if leakScale < 0.2 {
 		leakScale = 0.2
 	}
-	ch.Beta = math.Max(1, float64(m.r.Poisson(cfg.BetaMean))*leakScale)
+	ch.Beta = math.Max(1, d[1]*leakScale)
 }
 
 // coreSystematics maps the n×n row-major field g to one systematic value
