@@ -194,16 +194,15 @@ type Datacenter struct {
 	offlineDraw []units.Watts   // draw while isolated
 	queues      []sliceQueue    // per-processor FIFO of waiting slices
 
-	// fairDirty collects the processors whose utilization key (busy
-	// state or accumulated UtilTime) changed since the last
-	// ResetFairDirty — exactly the start/Complete/Preempt transitions.
-	// The scheduler's incremental least-used order repairs only these;
-	// fairDirtyOverflow reports that the set overflowed its bound (or
-	// was never tracked, e.g. right after construction or a state
-	// restore) and a full rebuild is required.
-	fairDirty         []int32
-	fairDirtyMark     []bool
-	fairDirtyOverflow bool
+	// fairFeed and queueFeed are the change feeds of the scheduler's
+	// two incremental consumers, one DirtySet each (see FairFeed and
+	// QueueFeed for their triggers). The fair feed's bound matches the
+	// fair order's repair threshold: past ~n/8 changed processors a
+	// full rebuild is about as cheap as a repair. The queue feed never
+	// overflows between restores: recounting a listed processor costs
+	// what a full recount spends on it, so listing can only save work.
+	fairFeed  DirtySet
+	queueFeed DirtySet
 
 	pm   *power.Model
 	volt VoltageFn
@@ -218,6 +217,11 @@ type Datacenter struct {
 	// from the overlay.
 	nBusy    int
 	nOffline int
+	// nBelow counts the running slices operating below their assigned
+	// level, the only slices match's surplus pass can raise. start runs
+	// a slice at its assigned level, so only SetLevel, Complete and
+	// Preempt move it; RestoreState recomputes it.
+	nBelow int
 
 	// Memoized ProcPower, indexed id*nLevels+level. ProcPower is a pure
 	// function of (id, level) between voltage-regime changes — the volt
@@ -276,18 +280,14 @@ func NewWithCOPs(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cops 
 		offline:     make([]bool, n),
 		offlineDraw: make([]units.Watts, n),
 		queues:      make([]sliceQueue, n),
-		// The dirty bound matches the scheduler's repair threshold:
-		// past ~n/8 changed processors a full rebuild is cheaper than
-		// a merge, so tracking further ids buys nothing.
-		fairDirty:         make([]int32, 0, n/8+64),
-		fairDirtyMark:     make([]bool, n),
-		fairDirtyOverflow: true, // no order built yet: first pass is full
-		pm:                pm,
-		volt:              volt,
-		cops:              append([]float64(nil), cops...),
-		nLevels:           nLevels,
-		pcache:            make([]units.Watts, n*nLevels),
-		pcacheOK:          make([]bool, n*nLevels),
+		fairFeed:    newDirtySet(n, n/8+64),
+		queueFeed:   newDirtySet(n, n),
+		pm:          pm,
+		volt:        volt,
+		cops:        append([]float64(nil), cops...),
+		nLevels:     nLevels,
+		pcache:      make([]units.Watts, n*nLevels),
+		pcacheOK:    make([]bool, n*nLevels),
 	}
 	// The views live in one contiguous backing array; they are
 	// immutable (ID, Chip, dc) so pointers stay valid for the
@@ -300,38 +300,23 @@ func NewWithCOPs(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cops 
 	return dc, nil
 }
 
-// markFair records that processor id's utilization key changed. O(1),
-// allocation-free, deduplicating; past the capacity bound it degrades
-// to the overflow flag (full rebuild).
-func (dc *Datacenter) markFair(id int) {
-	if dc.fairDirtyOverflow || dc.fairDirtyMark[id] {
-		return
-	}
-	if len(dc.fairDirty) == cap(dc.fairDirty) {
-		dc.fairDirtyOverflow = true
-		return
-	}
-	dc.fairDirtyMark[id] = true
-	dc.fairDirty = append(dc.fairDirty, int32(id))
-}
+// FairFeed is the fair order's change feed. It lists the processors
+// whose utilization key changed: busy state, UtilTime or busySince.
+// Only start, Complete and Preempt move those.
+func (dc *Datacenter) FairFeed() *DirtySet { return &dc.fairFeed }
 
-// FairDirty returns the processors whose utilization key changed since
-// the last ResetFairDirty, and whether the set overflowed (meaning the
-// list is incomplete and callers must rebuild from scratch). The slice
-// is owned by the datacenter; it is valid until the next mutation.
-func (dc *Datacenter) FairDirty() ([]int32, bool) {
-	return dc.fairDirty, dc.fairDirtyOverflow
-}
+// QueueFeed is the queue-estimate feed. It lists the processors whose
+// QueueEstimates inputs changed: the running slice or its Finish, or
+// the queued slices and their assigned levels. start, Complete,
+// Preempt, SetLevel, Requeue, Unqueue (so Migrate) and Enqueue's queued
+// branch move those. Going offline or online alone does not: an
+// estimate reads the running slice, not the offline flag, and SetOnline
+// changes the queue only through start.
+func (dc *Datacenter) QueueFeed() *DirtySet { return &dc.queueFeed }
 
-// ResetFairDirty empties the dirty set, typically right after a caller
-// consumed it to repair its ordering.
-func (dc *Datacenter) ResetFairDirty() {
-	for _, id := range dc.fairDirty {
-		dc.fairDirtyMark[id] = false
-	}
-	dc.fairDirty = dc.fairDirty[:0]
-	dc.fairDirtyOverflow = false
-}
+// BelowAssigned returns the number of running slices operating below
+// their assigned DVFS level.
+func (dc *Datacenter) BelowAssigned() int { return dc.nBelow }
 
 // Demand returns the current aggregate power draw including cooling.
 func (dc *Datacenter) Demand() units.Watts { return dc.demand }
@@ -473,10 +458,14 @@ func (dc *Datacenter) Preempt(id int, now units.Seconds) *Slice {
 	s.draw = 0
 	s.running = false
 	s.Gen++
+	if s.Level < s.AssignedLevel {
+		dc.nBelow--
+	}
 	dc.utilTime[id] += now - dc.busySince[id]
 	dc.current[id] = nil
 	dc.nBusy--
-	dc.markFair(id)
+	dc.fairFeed.mark(id)
+	dc.queueFeed.mark(id)
 	return s
 }
 
@@ -490,6 +479,7 @@ func (dc *Datacenter) Requeue(s *Slice) {
 	}
 	dc.queues[s.ProcID].pushFront(s)
 	dc.backlog[s.ProcID] += dc.SliceDuration(s, s.AssignedLevel)
+	dc.queueFeed.mark(s.ProcID)
 }
 
 // ResetWork discards a preempted slice's progress so it re-executes
@@ -542,6 +532,7 @@ func (dc *Datacenter) Unqueue(s *Slice) bool {
 			if dc.backlog[id] < 0 {
 				dc.backlog[id] = 0
 			}
+			dc.queueFeed.mark(id)
 			return true
 		}
 	}
@@ -567,18 +558,27 @@ func (dc *Datacenter) Migrate(s *Slice, toProc, level int, now units.Seconds) (*
 // profiling session (offline processor) get a +Inf estimate.
 func (dc *Datacenter) QueueEstimates(fn func(s *Slice, estStart units.Seconds)) {
 	for id := range dc.queues {
-		if dc.queues[id].len() == 0 {
-			continue
-		}
-		t := units.Seconds(math.Inf(1))
-		if cur := dc.current[id]; cur != nil {
-			t = cur.Finish
-		}
-		for _, q := range dc.queues[id].items() {
-			fn(q, t)
-			t += dc.SliceDuration(q, q.AssignedLevel)
-		}
+		dc.ProcQueueEstimates(id, fn)
 	}
+}
+
+// ProcQueueEstimates is QueueEstimates restricted to processor id's
+// queue: the same float sums, read from that processor's state alone.
+// It returns the number of slices it visited.
+func (dc *Datacenter) ProcQueueEstimates(id int, fn func(s *Slice, estStart units.Seconds)) int {
+	q := dc.queues[id].items()
+	if len(q) == 0 {
+		return 0
+	}
+	t := units.Seconds(math.Inf(1))
+	if cur := dc.current[id]; cur != nil {
+		t = cur.Finish
+	}
+	for _, sl := range q {
+		fn(sl, t)
+		t += dc.SliceDuration(sl, sl.AssignedLevel)
+	}
+	return len(q)
 }
 
 // OfflineCount returns the number of processors currently isolated.
@@ -607,6 +607,7 @@ func (dc *Datacenter) Enqueue(s *Slice, now units.Seconds) *Slice {
 	}
 	dc.queues[id].push(s)
 	dc.backlog[id] += dc.SliceDuration(s, s.AssignedLevel)
+	dc.queueFeed.mark(id)
 	return nil
 }
 
@@ -620,7 +621,8 @@ func (dc *Datacenter) start(id int, s *Slice, now units.Seconds) {
 	s.Finish = now + units.Seconds(s.remaining*float64(dc.SliceDuration(s, s.Level)))
 	s.draw = dc.ProcPower(id, s.Level)
 	dc.demand += s.draw
-	dc.markFair(id)
+	dc.fairFeed.mark(id)
+	dc.queueFeed.mark(id)
 }
 
 // Complete finishes processor id's running slice and starts the next
@@ -637,10 +639,14 @@ func (dc *Datacenter) Complete(id int, now units.Seconds) *Slice {
 	s.running = false
 	s.done = true
 	s.remaining = 0
+	if s.Level < s.AssignedLevel {
+		dc.nBelow--
+	}
 	dc.utilTime[id] += now - dc.busySince[id]
 	dc.current[id] = nil
 	dc.nBusy--
-	dc.markFair(id)
+	dc.fairFeed.mark(id)
+	dc.queueFeed.mark(id)
 	if dc.queues[id].len() == 0 {
 		return nil
 	}
@@ -662,11 +668,18 @@ func (dc *Datacenter) SetLevel(s *Slice, level int, now units.Seconds) {
 	}
 	dc.demand -= s.draw
 	dc.progress(s, now)
+	if s.Level < s.AssignedLevel {
+		dc.nBelow--
+	}
+	if level < s.AssignedLevel {
+		dc.nBelow++
+	}
 	s.Level = level
 	s.Gen++
 	s.Finish = now + units.Seconds(s.remaining*float64(dc.SliceDuration(s, level)))
 	s.draw = dc.ProcPower(s.ProcID, level)
 	dc.demand += s.draw
+	dc.queueFeed.mark(s.ProcID)
 }
 
 // FinishAtLevel predicts the slice's completion time if switched to the

@@ -206,21 +206,24 @@ func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*
 		}
 	}
 	dc.demand = st.Demand
-	// The overlay bypassed start/Complete/SetOffline, so the O(1)
-	// counters are recomputed from the restored truth, and any
-	// incremental ordering derived from the pre-restore state is
-	// invalid — signal a full rebuild through the dirty overflow.
-	dc.nBusy, dc.nOffline = 0, 0
-	for i := range dc.current {
-		if dc.current[i] != nil {
+	// The overlay bypassed start/Complete/SetLevel/SetOffline, so the
+	// O(1) counters are recomputed from the restored truth, and
+	// anything a consumer built from the pre-restore state is invalid:
+	// both change feeds overflow, forcing a full rebuild or recount.
+	dc.nBusy, dc.nOffline, dc.nBelow = 0, 0, 0
+	for i, cur := range dc.current {
+		if cur != nil {
 			dc.nBusy++
+			if cur.Level < cur.AssignedLevel {
+				dc.nBelow++
+			}
 		}
 		if dc.offline[i] {
 			dc.nOffline++
 		}
 	}
-	dc.ResetFairDirty()
-	dc.fairDirtyOverflow = true
+	dc.fairFeed.invalidate()
+	dc.queueFeed.invalidate()
 	// The caller typically restores voltage-regime state (profiling
 	// knowledge, fault overrides) after this overlay, so any draw
 	// memoized before or during the restore could be stale.

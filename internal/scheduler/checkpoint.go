@@ -573,8 +573,10 @@ func (s *sim) restore(data []byte) error {
 	s.workDone = snap.WorkDone
 	s.slicesDone = snap.SlicesDone
 	s.sliceSeq = snap.SliceSeq
-	// The fair order needs no reset: RestoreState raised the cluster's
-	// fair-dirty overflow, so the fair lists rebuild on first use.
+	// Neither incremental consumer needs a reset: RestoreState
+	// overflowed the cluster's fair and queue-estimate feeds, so the
+	// fair lists rebuild on first use and rebalance's next tick
+	// recounts every processor.
 
 	if s.onlineActive {
 		if len(snap.ScanState) != len(s.scanState) {

@@ -181,12 +181,13 @@ func (f *fairState) pass(dc *cluster.Datacenter, now units.Seconds) {
 		f.fairVer = make([]int32, len(dc.Procs))
 	}
 	f.now, f.margin = now, now*0x1p-49
-	if dirty, overflow := dc.FairDirty(); f.listsOK && !overflow {
+	feed := dc.FairFeed()
+	if dirty, overflow := feed.Dirty(); f.listsOK && !overflow {
 		f.repair(dc, dirty)
 	} else {
 		f.rebuild(dc)
 	}
-	dc.ResetFairDirty()
+	feed.Reset()
 	f.idle.mi, f.idle.ei, f.busy.mi, f.busy.ei = 0, 0, 0, 0
 	f.win, f.wi, f.keyed = f.win[:0], 0, 0
 }

@@ -348,10 +348,20 @@ type sim struct {
 	permBuf    []int
 	effKeys    []effKey
 
-	// fair is the retained least-used order (see fair.go); naive mode
-	// leaves it unused. It holds derived caches, never simulation
-	// state, so checkpoints ignore it entirely.
-	fair fairState
+	// fair is the retained least-used order (see fair.go) and endanger
+	// rebalance's per-processor candidate counts (see rebalance.go);
+	// naive mode leaves both unused. They hold derived caches, never
+	// simulation state, so checkpoints ignore them entirely.
+	fair     fairState
+	endanger endangerIndex
+
+	// counters count the run's work by layer (see Counters). Like the
+	// caches above they stay out of checkpoints.
+	counters Counters
+	// onRebalCands, when set, sees each tick's sorted rebalance
+	// candidates before any migrates. It is a test seam; runs leave it
+	// nil.
+	onRebalCands func(cands []rebalCand)
 }
 
 type procAvail struct {
@@ -374,12 +384,6 @@ type utilKey struct {
 type slackEntry struct {
 	slack  units.Seconds
 	procID int32 // deadline tiebreak; one running slice per processor
-}
-
-// rebalCand is one queued slice endangered by its estimated start.
-type rebalCand struct {
-	sl       *cluster.Slice
-	estStart units.Seconds
 }
 
 // effKey carries a processor's efficiency rank and tiebreak position,
@@ -842,6 +846,7 @@ func (s *sim) onWindTick(now units.Seconds) {
 // onAuxTick is the utility-only periodic opportunity check for online
 // profiling and rebalancing.
 func (s *sim) onAuxTick(now units.Seconds) {
+	s.counters.Ticks++
 	s.sync(now)
 	s.maybeProfile(now)
 	if s.cfg.EnableRebalance {
@@ -1260,6 +1265,7 @@ func (s *sim) qualityMetrics() (meanSlow, p95Slow float64, meanWait units.Second
 // onTick refreshes the wind budget, runs the power-matching loop, and
 // gives the opportunistic scanner its chance.
 func (s *sim) onTick(now units.Seconds) {
+	s.counters.Ticks++
 	s.sync(now)
 	s.nominalWind = s.cfg.Wind.At(now)
 	s.curWind = s.deratedWind(s.nominalWind)
@@ -1277,67 +1283,6 @@ func (s *sim) onTick(now units.Seconds) {
 		s.brownoutEvaluate(now)
 	}
 	s.checkInvariants(now, true)
-}
-
-// rebalance migrates queued slices that would miss their deadlines to
-// processors where they still fit: candidates sorted most-endangered
-// first under the strict rebalCandCmp order, each moved to the first
-// processor in the policy's preference order that can still meet its
-// deadline.
-func (s *sim) rebalance(now units.Seconds) {
-	if s.cfg.naive {
-		s.naiveRebalance(now)
-		return
-	}
-	cands := s.candBuf[:0]
-	s.dc.QueueEstimates(func(sl *cluster.Slice, estStart units.Seconds) {
-		if d := sl.Job.Deadline; d > 0 && estStart+s.dc.SliceDuration(sl, sl.AssignedLevel) > d {
-			cands = append(cands, rebalCand{sl, estStart})
-		}
-	})
-	s.candBuf = cands
-	if len(cands) == 0 {
-		return
-	}
-	slices.SortFunc(cands, rebalCandCmp)
-	order := s.candidateOrder(now, false)
-	for _, c := range cands {
-		sl := c.sl
-		for _, id := range order {
-			if id == sl.ProcID {
-				continue
-			}
-			maxTime := sl.Job.Deadline - s.dc.AvailableAt(id, now)
-			if maxTime <= 0 {
-				continue
-			}
-			level, ok := s.chooseLevel(id, sl.Job, maxTime, false)
-			if !ok {
-				continue
-			}
-			// A failed migration raced with a start; leave it be.
-			if started, err := s.dc.Migrate(sl, id, level, now); err == nil && started != nil {
-				s.scheduleCompletion(started)
-			}
-			break
-		}
-	}
-}
-
-// rebalCandCmp orders rebalance candidates most-endangered first —
-// latest estimated start — with deterministic (job, proc) ties; one
-// queued slice per (job, proc) pair makes the order strict.
-func rebalCandCmp(a, b rebalCand) int {
-	if a.estStart != b.estStart {
-		if a.estStart > b.estStart {
-			return -1
-		}
-		return 1
-	}
-	if a.sl.Job.ID != b.sl.Job.ID {
-		return a.sl.Job.ID - b.sl.Job.ID
-	}
-	return a.sl.ProcID - b.sl.ProcID
 }
 
 // maybeProfile implements the opportunistic scanning flow of Section
@@ -1448,9 +1393,9 @@ func (s *sim) match(now units.Seconds) []*cluster.Slice {
 		// Levels can only be raised back toward their assignment; if no
 		// running slice sits below it, there is nothing to collect. This
 		// is the steady state whenever wind has covered demand for a
-		// while, and in million-processor profiles this scan cost less
-		// than the collect pass it skips.
-		if !s.anyBelowAssigned() {
+		// while, and the cluster keeps the count, so the guard reads no
+		// processor.
+		if s.dc.BelowAssigned() == 0 {
 			break
 		}
 		running := s.sortRunningBySlack(now, false)
@@ -1470,19 +1415,8 @@ func (s *sim) match(now units.Seconds) []*cluster.Slice {
 		}
 	}
 	s.changedBuf = changed
+	s.counters.MatchRetimed += int64(len(changed))
 	return changed
-}
-
-// anyBelowAssigned reports whether some running slice operates below
-// its assigned DVFS level — the only state the surplus side of match
-// can act on.
-func (s *sim) anyBelowAssigned() bool {
-	for _, cur := range s.dc.CurrentView() {
-		if cur != nil && cur.Level < cur.AssignedLevel {
-			return true
-		}
-	}
-	return false
 }
 
 // sortRunningBySlack collects the running slices match can act on and
@@ -1508,6 +1442,7 @@ func (s *sim) sortRunningBySlack(now units.Seconds, desc bool) []*cluster.Slice 
 			keys = append(keys, slackEntry{slack: slack(cur, now), procID: int32(id)})
 		}
 	}
+	s.counters.MatchCollected += int64(len(keys))
 	if desc {
 		slices.SortFunc(keys, slackDesc)
 	} else {
