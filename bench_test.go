@@ -161,14 +161,15 @@ func BenchmarkSimulationRun(b *testing.B) {
 // BenchmarkSimulationRunLarge is the fleet-scale tier: one complete
 // ScanFair simulation with rebalancing at the paper's 4,800-proc
 // datacenter size. The 48,000-proc and million-proc decade-up
-// sub-benchmarks are skipped under -short so PR CI runs the 4,800 tier
-// and the nightly workflow runs the rest. The million-proc tier exists
-// to exercise the structure-of-arrays cluster state, the event engine's
-// in-order run and heap, and the incremental order maintenance at the
-// scale they were built for; its job count is sub-proportional so a rep
-// stays within a nightly-runner budget. Each tier builds its fleet,
-// trace and wind inside its own sub-benchmark, so a -bench pattern that
-// filters a tier out also skips building its inputs.
+// sub-benchmarks are skipped under -short; PR CI's gate selects the
+// 4,800 tier by name and the nightly workflow the other two. The
+// million-proc tier exists to exercise the structure-of-arrays cluster
+// state, the event engine's in-order run and heap, and the incremental
+// order maintenance at the scale they were built for; its job count is
+// sub-proportional so a rep stays within a nightly-runner budget. Each
+// tier builds its fleet, trace and wind inside its own sub-benchmark,
+// so a -bench pattern that filters a tier out also skips building its
+// inputs.
 func BenchmarkSimulationRunLarge(b *testing.B) {
 	for _, size := range []struct {
 		procs, jobs int

@@ -340,6 +340,12 @@ func (dc *Datacenter) ProcDraw(id int) units.Watts {
 	return 0
 }
 
+// Volt returns the supply voltage processor id is operated at for the
+// given level: the datacenter's VoltageFn, read at call time.
+func (dc *Datacenter) Volt(id, level int) units.Volts {
+	return dc.volt(id, level)
+}
+
 // ProcPower returns the total draw (with cooling) of processor id
 // running at the given level under the datacenter's voltage regime.
 // Results are memoized per (id, level); see InvalidatePower.

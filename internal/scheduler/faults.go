@@ -95,15 +95,6 @@ func newFaultState(cfg RunConfig, fleet *Fleet, guard units.Volts) (*faultState,
 	return f, nil
 }
 
-// operatingVolt is the voltage chip id actually runs at level l under
-// the current fault state.
-func (s *sim) operatingVolt(id, l int) units.Volts {
-	if v := s.faults.override[id*s.faults.levels+l]; v > 0 {
-		return v
-	}
-	return s.know.Vdd(id, l)
-}
-
 // trueMinVdd is the ground-truth minimum voltage of a falsely-passed
 // chip at its bad level: DriftFrac of the way from the believed
 // operating point up to the factory worst-case binning voltage.
@@ -237,7 +228,7 @@ func (s *sim) armFalsePass(sl *cluster.Slice) {
 	if !ok {
 		return
 	}
-	if s.operatingVolt(sl.ProcID, sl.Level)+1e-9 >= s.trueMinVdd(fp) {
+	if s.dc.Volt(sl.ProcID, sl.Level)+1e-9 >= s.trueMinVdd(fp) {
 		return // current operating point covers the drift
 	}
 	now := s.eng.Now()
