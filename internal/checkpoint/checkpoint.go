@@ -110,10 +110,13 @@ func Decode(data []byte, payload any) error {
 	return nil
 }
 
-// WriteBytes atomically writes an already-encoded envelope: the data
-// lands in a temporary file in the same directory and is renamed into
-// place, so a crash mid-write never leaves a half-written checkpoint
-// where a reader expects a valid one.
+// WriteBytes atomically and durably writes an already-encoded
+// envelope: the data lands in a temporary file in the same directory,
+// is fsynced and renamed into place, and the directory is fsynced after
+// the rename. A crash mid-write never leaves a half-written checkpoint
+// where a reader expects a valid one, and once WriteBytes returns the
+// new file survives a power loss, so a caller may then delete what the
+// checkpoint replaces (a daemon compacts its journal).
 func WriteBytes(path string, data []byte) error {
 	dir := filepath.Dir(path)
 	tmp, err := os.CreateTemp(dir, "."+filepath.Base(path)+".tmp-*")
@@ -125,11 +128,23 @@ func WriteBytes(path string, data []byte) error {
 		tmp.Close()
 		return fmt.Errorf("checkpoint: write %s: %w", path, err)
 	}
+	if err := tmp.Sync(); err != nil {
+		tmp.Close()
+		return fmt.Errorf("checkpoint: fsync %s: %w", path, err)
+	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("checkpoint: close %s: %w", path, err)
 	}
 	if err := os.Rename(tmp.Name(), path); err != nil {
 		return fmt.Errorf("checkpoint: %w", err)
+	}
+	d, err := os.Open(dir)
+	if err != nil {
+		return fmt.Errorf("checkpoint: %w", err)
+	}
+	defer d.Close()
+	if err := d.Sync(); err != nil {
+		return fmt.Errorf("checkpoint: fsync dir %s: %w", dir, err)
 	}
 	return nil
 }

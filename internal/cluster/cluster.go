@@ -68,33 +68,6 @@ func (s *Slice) Done() bool { return s.done }
 // Remaining returns the fraction of work left.
 func (s *Slice) Remaining() float64 { return s.remaining }
 
-// Processor is one schedulable CPU. It is a thin view over the
-// datacenter's structure-of-arrays state: the mutable fields (running
-// slice, queue, utilization, offline flags) live in flat parallel
-// slices on Datacenter, indexed by ID, so fleet-order walks and the
-// fair pass stream contiguous memory instead of chasing
-// per-processor pointers. The view keeps the familiar accessor API for
-// tests, checkpoint codecs and cold paths.
-type Processor struct {
-	ID   int
-	Chip *variation.Chip
-	dc   *Datacenter
-}
-
-// Offline reports whether the processor is isolated from service.
-func (p *Processor) Offline() bool { return p.dc.offline[p.ID] }
-
-// Current returns the running slice, nil when idle.
-func (p *Processor) Current() *Slice { return p.dc.current[p.ID] }
-
-// QueueLen returns the number of waiting slices.
-func (p *Processor) QueueLen() int { return p.dc.queues[p.ID].len() }
-
-// UtilTime returns the accumulated busy time — the lifetime-wear proxy
-// of the paper's Figure 9 — not counting any in-flight busy span (see
-// Datacenter.UtilAt for that).
-func (p *Processor) UtilTime() units.Seconds { return p.dc.utilTime[p.ID] }
-
 // sliceQueue is a FIFO of waiting slices with amortized allocation-free
 // push and pop. Popping advances a head index instead of re-slicing;
 // the vacated front capacity is reclaimed by compaction on a later
@@ -179,10 +152,11 @@ func (q *sliceQueue) reset() {
 // held in flat parallel arrays indexed by processor ID (structure of
 // arrays): the hot kernels — utilization fills, availability
 // lookups, running-slice collection, queue estimates — walk these
-// arrays linearly. Processor is a view over the same arrays.
+// arrays linearly. There is no per-processor object: callers index the
+// datacenter (Current, QueueLen, Offline, IsBusy, UtilTimeOf).
 type Datacenter struct {
-	Procs []*Processor
-
+	// chips is the caller's fleet, shared read-only: every run and
+	// tenant over one fleet reads the same slice.
 	chips []*variation.Chip
 
 	// Structure-of-arrays processor state, all indexed by processor ID.
@@ -252,7 +226,8 @@ func New(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cop float64) 
 // coefficients — cold-aisle and hot-aisle nodes cool at different
 // efficiency, the COP spread Greenberg et al. measured across real
 // facilities (Section IV.A: "COP follows normal distribution between
-// [0.6, 3.5]").
+// [0.6, 3.5]"). The datacenter keeps chips itself, not a copy: the
+// caller must not modify the slice or the chips while it is in use.
 func NewWithCOPs(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cops []float64) (*Datacenter, error) {
 	if len(chips) == 0 {
 		return nil, fmt.Errorf("cluster: empty fleet")
@@ -271,8 +246,7 @@ func NewWithCOPs(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cops 
 	nLevels := pm.Table.NumLevels()
 	n := len(chips)
 	dc := &Datacenter{
-		Procs:       make([]*Processor, n),
-		chips:       append([]*variation.Chip(nil), chips...),
+		chips:       chips,
 		current:     make([]*Slice, n),
 		utilTime:    make([]units.Seconds, n),
 		busySince:   make([]units.Seconds, n),
@@ -289,16 +263,11 @@ func NewWithCOPs(chips []*variation.Chip, pm *power.Model, volt VoltageFn, cops 
 		pcache:      make([]units.Watts, n*nLevels),
 		pcacheOK:    make([]bool, n*nLevels),
 	}
-	// The views live in one contiguous backing array; they are
-	// immutable (ID, Chip, dc) so pointers stay valid for the
-	// datacenter's lifetime.
-	backing := make([]Processor, n)
-	for i, ch := range chips {
-		backing[i] = Processor{ID: i, Chip: ch, dc: dc}
-		dc.Procs[i] = &backing[i]
-	}
 	return dc, nil
 }
+
+// Len returns the number of processors.
+func (dc *Datacenter) Len() int { return len(dc.current) }
 
 // FairFeed is the fair order's change feed. It lists the processors
 // whose utilization key changed: busy state, UtilTime or busySince.
@@ -754,14 +723,24 @@ func (dc *Datacenter) RunningSlices(dst []*Slice) []*Slice {
 // CurrentView returns the running-slice array indexed by processor ID
 // (nil entries are idle processors). Read-only: callers must not
 // modify it. It exists so fleet-order scans stream one flat array
-// instead of dereferencing every Processor view.
+// instead of calling Current per processor.
 func (dc *Datacenter) CurrentView() []*Slice { return dc.current }
+
+// Current returns processor id's running slice, nil when idle.
+func (dc *Datacenter) Current(id int) *Slice { return dc.current[id] }
 
 // IsBusy reports whether processor id is running a slice.
 func (dc *Datacenter) IsBusy(id int) bool { return dc.current[id] != nil }
 
-// UtilTimeOf returns processor id's accumulated busy time, not
-// counting any in-flight busy span.
+// QueueLen returns the number of slices waiting on processor id.
+func (dc *Datacenter) QueueLen(id int) int { return dc.queues[id].len() }
+
+// Offline reports whether processor id is isolated from service.
+func (dc *Datacenter) Offline(id int) bool { return dc.offline[id] }
+
+// UtilTimeOf returns processor id's accumulated busy time — the
+// lifetime-wear proxy of the paper's Figure 9 — not counting any
+// in-flight busy span (see UtilAt for that).
 func (dc *Datacenter) UtilTimeOf(id int) units.Seconds { return dc.utilTime[id] }
 
 // UtilOffset returns processor id's utilTime − busySince. While the
@@ -787,7 +766,7 @@ func (dc *Datacenter) UtilAt(id int, now units.Seconds) units.Seconds {
 // UtilTimes returns each processor's accumulated busy time, adding the
 // in-flight busy span for processors currently running.
 func (dc *Datacenter) UtilTimes(now units.Seconds) []units.Seconds {
-	return dc.UtilTimesInto(make([]units.Seconds, 0, len(dc.Procs)), now)
+	return dc.UtilTimesInto(make([]units.Seconds, 0, dc.Len()), now)
 }
 
 // UtilTimesInto is UtilTimes into a reused buffer, for per-sync callers

@@ -79,8 +79,8 @@ func TestEnqueueBusyQueues(t *testing.T) {
 	if started := dc.Enqueue(b, 10); started != nil {
 		t.Fatal("second slice should queue, not start")
 	}
-	if dc.Procs[0].QueueLen() != 1 {
-		t.Fatalf("queue len = %d, want 1", dc.Procs[0].QueueLen())
+	if dc.QueueLen(0) != 1 {
+		t.Fatalf("queue len = %d, want 1", dc.QueueLen(0))
 	}
 	// Available: a finishes at 100, plus 50 backlog.
 	if got := dc.AvailableAt(0, 10); math.Abs(float64(got-150)) > 1e-9 {
@@ -105,7 +105,7 @@ func TestCompleteStartsNext(t *testing.T) {
 	if b.Finish != 150 {
 		t.Fatalf("next finish = %v, want 150", b.Finish)
 	}
-	if got := dc.Procs[0].UtilTime(); got != 100 {
+	if got := dc.UtilTimeOf(0); got != 100 {
 		t.Fatalf("UtilTime = %v, want 100", got)
 	}
 	// Complete the second too; demand should return to zero.
@@ -115,8 +115,8 @@ func TestCompleteStartsNext(t *testing.T) {
 	if math.Abs(float64(dc.Demand())) > 1e-9 {
 		t.Fatalf("demand = %v after all work done, want 0", dc.Demand())
 	}
-	if dc.Procs[0].UtilTime() != 150 {
-		t.Fatalf("UtilTime = %v, want 150", dc.Procs[0].UtilTime())
+	if dc.UtilTimeOf(0) != 150 {
+		t.Fatalf("UtilTime = %v, want 150", dc.UtilTimeOf(0))
 	}
 }
 
@@ -258,7 +258,7 @@ func TestUtilTimesIncludeInFlight(t *testing.T) {
 func TestCoolingIncludedInProcPower(t *testing.T) {
 	dc := testDC(t, 1)
 	top := dc.PowerModel().Table.Top()
-	ch := dc.Procs[0].Chip
+	ch := dc.chips[0]
 	cpu := dc.PowerModel().CPUPower(ch.Alpha, ch.Beta, top, dc.PowerModel().Table.Levels[top].Vnom)
 	want := power.WithCooling(cpu, power.DefaultCOP)
 	if math.Abs(float64(dc.ProcPower(0, top)-want)) > 1e-9 {
@@ -319,7 +319,7 @@ func TestProcPowerCacheInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	direct := func(id, l int) units.Watts {
-		ch := dc.Procs[id].Chip
+		ch := dc.chips[id]
 		return power.WithCooling(pm.CPUPower(ch.Alpha, ch.Beta, l, volt(id, l)), dc.cops[id])
 	}
 	for id := 0; id < 4; id++ {

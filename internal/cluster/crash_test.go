@@ -35,12 +35,12 @@ func TestPreemptRequeueResume(t *testing.T) {
 	if dc.Demand() != 0 {
 		t.Fatalf("demand %v after preempt, want 0", dc.Demand())
 	}
-	if dc.Procs[0].UtilTime() != 400 {
-		t.Fatalf("util time %v, want 400", dc.Procs[0].UtilTime())
+	if dc.UtilTimeOf(0) != 400 {
+		t.Fatalf("util time %v, want 400", dc.UtilTimeOf(0))
 	}
 
 	dc.Requeue(s)
-	if dc.Procs[0].QueueLen() != 1 {
+	if dc.QueueLen(0) != 1 {
 		t.Fatal("requeue did not queue the slice")
 	}
 	if err := dc.ForceOffline(0, 50); err != nil {
@@ -50,7 +50,7 @@ func TestPreemptRequeueResume(t *testing.T) {
 		t.Fatalf("offline draw not booked: demand %v", dc.Demand())
 	}
 	// Requeue must never start the slice, even on the idle node 1.
-	if dc.Procs[0].Current() != nil {
+	if dc.Current(0) != nil {
 		t.Fatal("requeued slice started while offline")
 	}
 
@@ -68,7 +68,7 @@ func TestPreemptRequeueResume(t *testing.T) {
 	if !s.Done() {
 		t.Fatal("slice did not complete after resume")
 	}
-	if got, want := float64(dc.Procs[0].UtilTime()), 1000.0; math.Abs(got-want) > 1e-6 {
+	if got, want := float64(dc.UtilTimeOf(0)), 1000.0; math.Abs(got-want) > 1e-6 {
 		t.Fatalf("total util %v, want %v (work conserved across preemption)", got, want)
 	}
 }

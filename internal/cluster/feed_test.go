@@ -36,7 +36,7 @@ func (a procPrint) sameFair(b procPrint) bool {
 }
 
 func fingerprint(dc *Datacenter) []procPrint {
-	out := make([]procPrint, len(dc.Procs))
+	out := make([]procPrint, dc.Len())
 	for id := range out {
 		p := procPrint{cur: -1, utilTime: dc.utilTime[id], busySince: dc.busySince[id]}
 		if cur := dc.current[id]; cur != nil {

@@ -46,7 +46,7 @@ func TestUnqueueAndMigrate(t *testing.T) {
 		t.Fatalf("migrated finish = %v, want 60", b.Finish)
 	}
 	// Source queue drained and backlog cleared.
-	if dc.Procs[0].QueueLen() != 0 {
+	if dc.QueueLen(0) != 0 {
 		t.Fatal("source queue still holds the migrated slice")
 	}
 	if got := dc.AvailableAt(0, 10); got != a.Finish {
@@ -75,11 +75,11 @@ func TestMigrateToBusyProcQueues(t *testing.T) {
 	if q.ProcID != 1 || q.AssignedLevel != 2 {
 		t.Fatalf("migration did not retarget: %+v", q)
 	}
-	if dc.Procs[1].QueueLen() != 1 {
+	if dc.QueueLen(1) != 1 {
 		t.Fatal("target queue empty after migration")
 	}
 	// Target availability includes the migrated backlog at its new level.
-	want := dc.Procs[1].Current().Finish + dc.SliceDuration(q, 2)
+	want := dc.Current(1).Finish + dc.SliceDuration(q, 2)
 	if got := dc.AvailableAt(1, 5); math.Abs(float64(got-want)) > 1e-9 {
 		t.Fatalf("target availability %v, want %v", got, want)
 	}

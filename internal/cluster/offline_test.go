@@ -15,7 +15,7 @@ func TestSetOfflineLifecycle(t *testing.T) {
 	if err := dc.SetOffline(0, 115); err != nil {
 		t.Fatal(err)
 	}
-	if !dc.Procs[0].Offline() {
+	if !dc.Offline(0) {
 		t.Fatal("processor not marked offline")
 	}
 	if dc.OfflineCount() != 1 {
@@ -48,7 +48,7 @@ func TestSetOfflineLifecycle(t *testing.T) {
 	if started := dc.Enqueue(q, 10); started != nil {
 		t.Fatal("slice started on an offline processor")
 	}
-	if dc.Procs[0].QueueLen() != 1 {
+	if dc.QueueLen(0) != 1 {
 		t.Fatal("slice not queued on offline processor")
 	}
 
@@ -57,7 +57,7 @@ func TestSetOfflineLifecycle(t *testing.T) {
 	if started != q {
 		t.Fatal("SetOnline did not start the queued slice")
 	}
-	if dc.Procs[0].Offline() || dc.OfflineCount() != 0 {
+	if dc.Offline(0) || dc.OfflineCount() != 0 {
 		t.Fatal("processor still offline after SetOnline")
 	}
 	// Demand: slice on proc 0 + slice on proc 1, no profiling draw.
@@ -103,13 +103,13 @@ func TestOfflineDuringDrainKeepsUtilBooks(t *testing.T) {
 	top := dc.PowerModel().Table.Top()
 	_ = dc.SetOffline(0, 115)
 	_ = dc.SetOnline(0, units.Hours(2))
-	if dc.Procs[0].UtilTime() != 0 {
-		t.Fatalf("profiling time leaked into UtilTime: %v", dc.Procs[0].UtilTime())
+	if dc.UtilTimeOf(0) != 0 {
+		t.Fatalf("profiling time leaked into UtilTime: %v", dc.UtilTimeOf(0))
 	}
 	s := NewSlice(&workload.Job{ID: 9, Procs: 1, Runtime: 100, Boundness: 1}, 0, top)
 	dc.Enqueue(s, units.Hours(2))
 	dc.Complete(0, s.Finish)
-	if math.Abs(float64(dc.Procs[0].UtilTime())-100) > 1e-9 {
-		t.Fatalf("UtilTime = %v, want 100", dc.Procs[0].UtilTime())
+	if math.Abs(float64(dc.UtilTimeOf(0))-100) > 1e-9 {
+		t.Fatalf("UtilTime = %v, want 100", dc.UtilTimeOf(0))
 	}
 }

@@ -24,9 +24,9 @@ func TestDemandInvariantUnderRandomOps(t *testing.T) {
 
 	checkDemand := func() bool {
 		var want float64
-		for _, p := range dc.Procs {
-			if p.Current() != nil {
-				want += float64(dc.ProcPower(p.ID, p.Current().Level))
+		for id := range dc.Len() {
+			if cur := dc.Current(id); cur != nil {
+				want += float64(dc.ProcPower(id, cur.Level))
 			}
 		}
 		return math.Abs(float64(dc.Demand())-want) < 1e-6*(want+1)
@@ -41,21 +41,20 @@ func TestDemandInvariantUnderRandomOps(t *testing.T) {
 				j := &workload.Job{ID: nextID, Procs: 1,
 					Runtime: units.Seconds(50 + op%1000), Boundness: 0.5 + float64(op%50)/100}
 				lvl := int(op) % (top + 1)
-				s := NewSlice(j, int(op)%len(dc.Procs), lvl)
+				s := NewSlice(j, int(op)%dc.Len(), lvl)
 				dc.Enqueue(s, now)
 				slices = append(slices, s)
 			case 1: // complete whatever is due on a random processor
-				p := dc.Procs[int(op)%len(dc.Procs)]
-				if cur := p.Current(); cur != nil {
+				id := int(op) % dc.Len()
+				if cur := dc.Current(id); cur != nil {
 					// Jump the clock to its finish and complete it.
 					if cur.Finish > now {
 						now = cur.Finish
 					}
-					dc.Complete(p.ID, now)
+					dc.Complete(id, now)
 				}
 			case 2: // retime a random running slice
-				p := dc.Procs[int(op)%len(dc.Procs)]
-				if cur := p.Current(); cur != nil {
+				if cur := dc.Current(int(op) % dc.Len()); cur != nil {
 					dc.SetLevel(cur, int(op/3)%(top+1), now)
 				}
 			}
@@ -90,8 +89,8 @@ func TestEverySliceCompletesExactlyOnce(t *testing.T) {
 	// Drain: repeatedly complete the earliest-finishing running slice.
 	for {
 		var next *Slice
-		for _, p := range dc.Procs {
-			if c := p.Current(); c != nil && (next == nil || c.Finish < next.Finish) {
+		for _, c := range dc.CurrentView() {
+			if c != nil && (next == nil || c.Finish < next.Finish) {
 				next = c
 			}
 		}

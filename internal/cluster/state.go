@@ -52,7 +52,7 @@ type State struct {
 // CaptureState snapshots the datacenter. jobRef maps each slice's job
 // to a stable identifier the caller can resolve again on restore.
 func (dc *Datacenter) CaptureState(jobRef func(*workload.Job) int) State {
-	st := State{Procs: make([]ProcState, len(dc.Procs)), Demand: dc.demand}
+	st := State{Procs: make([]ProcState, dc.Len()), Demand: dc.demand}
 	cap := func(s *Slice) SliceState {
 		return SliceState{
 			JobRef:        jobRef(s.Job),
@@ -69,7 +69,7 @@ func (dc *Datacenter) CaptureState(jobRef func(*workload.Job) int) State {
 			Draw:          s.draw,
 		}
 	}
-	for i := range dc.Procs {
+	for i := range dc.Len() {
 		ps := ProcState{
 			UtilTime:    dc.utilTime[i],
 			Backlog:     dc.backlog[i],
@@ -119,8 +119,8 @@ const (
 // queue that grows later reallocates instead of writing into its
 // neighbour's window.
 func (dc *Datacenter) RestoreState(st State, arena *SliceArena, job func(int) (*workload.Job, error)) (map[int]*Slice, error) {
-	if len(st.Procs) != len(dc.Procs) {
-		return nil, fmt.Errorf("cluster: snapshot has %d processors, datacenter has %d", len(st.Procs), len(dc.Procs))
+	if len(st.Procs) != dc.Len() {
+		return nil, fmt.Errorf("cluster: snapshot has %d processors, datacenter has %d", len(st.Procs), dc.Len())
 	}
 	nSlices, nQueued := 0, 0
 	for i := range st.Procs {

@@ -45,8 +45,6 @@ type Options struct {
 	// of the fleet's capacity over the arrival span. 0 disables
 	// calibration and uses NumJobs verbatim.
 	TargetUtil float64
-	// WindRatio overrides WindToDemandRatio when positive.
-	WindRatio float64
 
 	// Context, when non-nil, makes grid runs cooperatively cancelable:
 	// queued cells are abandoned and in-flight simulations stop between
@@ -188,12 +186,8 @@ func buildWind(o Options, fleet *scheduler.Fleet, jobs *workload.Trace) (*wind.T
 	if scale == 0 {
 		scale = 1
 	}
-	ratio := o.WindRatio
-	if ratio <= 0 {
-		ratio = WindToDemandRatio
-	}
 	mean := meanDemandEstimate(fleet, jobs)
-	return tr.Scale(scale * ratio * mean / float64(tr.Mean())), nil
+	return tr.Scale(scale * WindToDemandRatio * mean / float64(tr.Mean())), nil
 }
 
 // meanDemandEstimate predicts the workload's average power draw: total

@@ -323,16 +323,6 @@ func Mean(xs []units.Seconds) units.Seconds {
 	return units.Seconds(sum / float64(len(xs)))
 }
 
-// CoeffVariation returns the coefficient of variation (stddev/mean), a
-// scale-free balance measure; 0 for an empty or zero-mean series.
-func CoeffVariation(xs []units.Seconds) float64 {
-	m := float64(Mean(xs))
-	if m == 0 {
-		return 0
-	}
-	return math.Sqrt(Variance(xs)) / m
-}
-
 // NodeProfile is the Figure 10 required-node time series: the fraction
 // of the fleet demanded by the workload at each sample.
 type NodeProfile struct {

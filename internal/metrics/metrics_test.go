@@ -134,20 +134,6 @@ func TestVarianceZeroForUniform(t *testing.T) {
 	}
 }
 
-func TestCoeffVariation(t *testing.T) {
-	xs := []units.Seconds{2, 4, 4, 4, 5, 5, 7, 9}
-	want := 2.0 / 5.0
-	if got := CoeffVariation(xs); math.Abs(got-want) > 1e-12 {
-		t.Errorf("CV = %v, want %v", got, want)
-	}
-	if CoeffVariation(nil) != 0 {
-		t.Error("empty CV should be 0")
-	}
-	if CoeffVariation([]units.Seconds{0, 0}) != 0 {
-		t.Error("zero-mean CV should be 0")
-	}
-}
-
 func TestNodeProfile(t *testing.T) {
 	np, err := NewNodeProfile(units.Minutes(10), units.Minutes(1))
 	if err != nil {

@@ -133,13 +133,6 @@ func (m *Model) ExecTime(tAtFmax units.Seconds, gamma float64, l int) units.Seco
 	return units.Seconds(float64(tAtFmax) * (gamma*(fmax/f-1) + 1))
 }
 
-// TaskEnergy returns the chip energy (no cooling) to run a task of
-// top-level runtime tAtFmax with boundness gamma at level l and supply
-// voltage v.
-func (m *Model) TaskEnergy(alpha, beta float64, tAtFmax units.Seconds, gamma float64, l int, v units.Volts) units.Joules {
-	return m.CPUPower(alpha, beta, l, v).Over(m.ExecTime(tAtFmax, gamma, l))
-}
-
 // CPUPowerPerCore evaluates chip power when every core has its own
 // voltage domain (Section III.B: per-core voltage domains via on-chip
 // LDO regulators): the chip's dynamic and leakage budgets are split
@@ -159,27 +152,4 @@ func (m *Model) CPUPowerPerCore(alpha, beta float64, l int, volts []units.Volts)
 		sum += alpha*f*f*f*vr*vr + beta*math.Pow(vt, LeakExp)
 	}
 	return units.Watts(sum / float64(len(volts)))
-}
-
-// BestLevel returns the DVFS level minimizing task energy subject to the
-// execution time not exceeding maxTime (0 means unconstrained), along
-// with feasibility. vAt gives the supply voltage the chip would use at
-// each level (bin worst-case or scanned MinVdd+guard).
-func (m *Model) BestLevel(alpha, beta float64, tAtFmax units.Seconds, gamma float64, maxTime units.Seconds, vAt func(l int) units.Volts) (level int, ok bool) {
-	best := -1
-	bestE := math.Inf(1)
-	for l := range m.Table.Levels {
-		if maxTime > 0 && m.ExecTime(tAtFmax, gamma, l) > maxTime {
-			continue
-		}
-		e := float64(m.TaskEnergy(alpha, beta, tAtFmax, gamma, l, vAt(l)))
-		if e < bestE {
-			bestE = e
-			best = l
-		}
-	}
-	if best < 0 {
-		return m.Table.Top(), false
-	}
-	return best, true
 }

@@ -134,61 +134,6 @@ func TestExecTimeMonotonicInFrequency(t *testing.T) {
 	}
 }
 
-func TestBestLevelUnconstrained(t *testing.T) {
-	m := mustModel(t)
-	vAt := func(l int) units.Volts { return m.Table.Levels[l].Vnom }
-	// For a strongly CPU-bound task, high static power (beta) pushes the
-	// optimum up; verify BestLevel actually minimizes over all levels.
-	for _, tc := range []struct{ alpha, beta, gamma float64 }{
-		{7.5, 65, 1.0}, {7.5, 65, 0.3}, {2, 120, 0.9}, {15, 10, 1.0},
-	} {
-		l, ok := m.BestLevel(tc.alpha, tc.beta, 100, tc.gamma, 0, vAt)
-		if !ok {
-			t.Fatalf("unconstrained BestLevel infeasible")
-		}
-		eBest := float64(m.TaskEnergy(tc.alpha, tc.beta, 100, tc.gamma, l, vAt(l)))
-		for j := 0; j < m.Table.NumLevels(); j++ {
-			e := float64(m.TaskEnergy(tc.alpha, tc.beta, 100, tc.gamma, j, vAt(j)))
-			if e < eBest-1e-9 {
-				t.Fatalf("BestLevel chose %d (E=%v) but level %d has E=%v", l, eBest, j, e)
-			}
-		}
-	}
-}
-
-func TestBestLevelRespectsDeadline(t *testing.T) {
-	m := mustModel(t)
-	vAt := func(l int) units.Volts { return m.Table.Levels[l].Vnom }
-	// Deadline exactly the top-level runtime: only the top level fits a
-	// fully CPU-bound task.
-	l, ok := m.BestLevel(7.5, 65, 100, 1.0, 100, vAt)
-	if !ok || l != m.Table.Top() {
-		t.Fatalf("tight deadline: level=%d ok=%v, want top level feasible", l, ok)
-	}
-}
-
-func TestBestLevelInfeasibleFallsBackToTop(t *testing.T) {
-	m := mustModel(t)
-	vAt := func(l int) units.Volts { return m.Table.Levels[l].Vnom }
-	l, ok := m.BestLevel(7.5, 65, 100, 1.0, 50, vAt) // impossible deadline
-	if ok {
-		t.Fatal("expected infeasible")
-	}
-	if l != m.Table.Top() {
-		t.Fatalf("infeasible fallback level = %d, want top", l)
-	}
-}
-
-func TestTaskEnergyConsistency(t *testing.T) {
-	m := mustModel(t)
-	v := m.Table.Levels[2].Vnom
-	e := m.TaskEnergy(7.5, 65, 100, 0.8, 2, v)
-	want := m.CPUPower(7.5, 65, 2, v).Over(m.ExecTime(100, 0.8, 2))
-	if math.Abs(float64(e-want)) > 1e-9 {
-		t.Fatalf("TaskEnergy = %v, want %v", e, want)
-	}
-}
-
 func TestPowerPositiveProperty(t *testing.T) {
 	m := mustModel(t)
 	f := func(aRaw, bRaw uint8, lRaw uint8, vRaw uint8) bool {

@@ -8,7 +8,7 @@ import (
 	"iscope/internal/units"
 )
 
-// Record is one chip's scan state in the profile database.
+// Record is a copy of one chip's scan state in the profile database.
 type Record struct {
 	// MinVdd[l] is the lowest voltage that passed at level l in the most
 	// recent scan; zero when the level has never been profiled.
@@ -25,14 +25,17 @@ type Record struct {
 // reported back to the scheduler and stored into its database"). It is
 // safe for concurrent use: profiling domains scan in parallel while the
 // scheduler reads.
+//
+// Each fact is stored once, in flat per-chip arrays; Record is only the
+// copy Snapshot, Records and RestoreRecords exchange.
 type DB struct {
-	mu   sync.RWMutex
-	recs []Record
-	// minVdd and measured back every record's MinVdd and Measured, chip
+	mu sync.RWMutex
+	// minVdd and measured hold every chip's MinVdd and Measured, chip
 	// by chip (levels entries each), so the DB's allocation count does
-	// not grow with the fleet and CopyTables is two copies.
+	// not grow with the fleet and ReadTables hands both out in place.
 	minVdd   []units.Volts
 	measured []bool
+	scans    []scanStamp
 	levels   int
 	// version counts completed writes. Readers that keep derived caches
 	// (ScanKnowledge's voltage table) compare it against the version
@@ -41,31 +44,29 @@ type DB struct {
 	version atomic.Uint64
 }
 
+// scanStamp is a chip's Record.LastScan and Record.Scans.
+type scanStamp struct {
+	last units.Seconds
+	n    int
+}
+
 // NewDB creates an empty database for n chips and the given number of
 // DVFS levels.
 func NewDB(n, levels int) *DB {
-	db := &DB{
-		recs:     make([]Record, n),
+	return &DB{
 		minVdd:   make([]units.Volts, n*levels),
 		measured: make([]bool, n*levels),
+		scans:    make([]scanStamp, n),
 		levels:   levels,
 	}
-	for i := range db.recs {
-		lo, hi := i*levels, (i+1)*levels
-		db.recs[i] = Record{
-			MinVdd:   db.minVdd[lo:hi:hi],
-			Measured: db.measured[lo:hi:hi],
-		}
-	}
-	return db
 }
 
 // NumChips returns the fleet size the DB tracks.
-func (db *DB) NumChips() int { return len(db.recs) }
+func (db *DB) NumChips() int { return len(db.scans) }
 
 // Update stores a completed scan of chip id.
 func (db *DB) Update(id int, minVdd []units.Volts, now units.Seconds) error {
-	if id < 0 || id >= len(db.recs) {
+	if id < 0 || id >= len(db.scans) {
 		return fmt.Errorf("profiling: chip id %d out of range", id)
 	}
 	if len(minVdd) != db.levels {
@@ -73,15 +74,15 @@ func (db *DB) Update(id int, minVdd []units.Volts, now units.Seconds) error {
 	}
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	r := &db.recs[id]
+	lo := id * db.levels
 	for l, v := range minVdd {
 		if v > 0 {
-			r.MinVdd[l] = v
-			r.Measured[l] = true
+			db.minVdd[lo+l] = v
+			db.measured[lo+l] = true
 		}
 	}
-	r.LastScan = now
-	r.Scans++
+	db.scans[id].last = now
+	db.scans[id].n++
 	db.version.Add(1)
 	return nil
 }
@@ -90,15 +91,14 @@ func (db *DB) Update(id int, minVdd []units.Volts, now units.Seconds) error {
 // at version v is current as long as Version still returns v.
 func (db *DB) Version() uint64 { return db.version.Load() }
 
-// CopyTables copies the flattened (chip × level) MinVdd and Measured
-// arrays into the caller's buffers, which must each hold
-// NumChips()*levels entries. One locked bulk copy replaces per-lookup
-// locking for readers that cache.
-func (db *DB) CopyTables(minVdd []units.Volts, measured []bool) {
+// ReadTables calls fn with the flattened (chip × level) MinVdd and
+// Measured arrays, NumChips()*levels entries each, under the read
+// lock: one locked pass replaces per-lookup locking for readers that
+// cache. fn must not keep or modify the arrays.
+func (db *DB) ReadTables(fn func(minVdd []units.Volts, measured []bool)) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	copy(minVdd, db.minVdd)
-	copy(measured, db.measured)
+	fn(db.minVdd, db.measured)
 }
 
 // Lookup returns the measured MinVdd of chip id at level l and whether
@@ -106,36 +106,35 @@ func (db *DB) CopyTables(minVdd []units.Volts, measured []bool) {
 func (db *DB) Lookup(id, l int) (units.Volts, bool) {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r := &db.recs[id]
-	return r.MinVdd[l], r.Measured[l]
+	i := id*db.levels + l
+	return db.minVdd[i], db.measured[i]
+}
+
+// record copies chip id's state out; the caller holds the lock.
+func (db *DB) record(id int) Record {
+	lo, hi := id*db.levels, (id+1)*db.levels
+	return Record{
+		MinVdd:   append([]units.Volts(nil), db.minVdd[lo:hi]...),
+		Measured: append([]bool(nil), db.measured[lo:hi]...),
+		LastScan: db.scans[id].last,
+		Scans:    db.scans[id].n,
+	}
 }
 
 // Snapshot returns a copy of chip id's record.
 func (db *DB) Snapshot(id int) Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	r := db.recs[id]
-	out := Record{
-		MinVdd:   append([]units.Volts(nil), r.MinVdd...),
-		Measured: append([]bool(nil), r.Measured...),
-		LastScan: r.LastScan,
-		Scans:    r.Scans,
-	}
-	return out
+	return db.record(id)
 }
 
 // Records returns a deep copy of every record, for checkpointing.
 func (db *DB) Records() []Record {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	out := make([]Record, len(db.recs))
-	for i, r := range db.recs {
-		out[i] = Record{
-			MinVdd:   append([]units.Volts(nil), r.MinVdd...),
-			Measured: append([]bool(nil), r.Measured...),
-			LastScan: r.LastScan,
-			Scans:    r.Scans,
-		}
+	out := make([]Record, len(db.scans))
+	for i := range out {
+		out[i] = db.record(i)
 	}
 	return out
 }
@@ -145,8 +144,8 @@ func (db *DB) Records() []Record {
 func (db *DB) RestoreRecords(recs []Record) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	if len(recs) != len(db.recs) {
-		return fmt.Errorf("profiling: snapshot has %d records, DB has %d", len(recs), len(db.recs))
+	if len(recs) != len(db.scans) {
+		return fmt.Errorf("profiling: snapshot has %d records, DB has %d", len(recs), len(db.scans))
 	}
 	for i, r := range recs {
 		if len(r.MinVdd) != db.levels || len(r.Measured) != db.levels {
@@ -154,11 +153,9 @@ func (db *DB) RestoreRecords(recs []Record) error {
 		}
 	}
 	for i, r := range recs {
-		rec := &db.recs[i]
-		copy(rec.MinVdd, r.MinVdd)
-		copy(rec.Measured, r.Measured)
-		rec.LastScan = r.LastScan
-		rec.Scans = r.Scans
+		copy(db.minVdd[i*db.levels:], r.MinVdd)
+		copy(db.measured[i*db.levels:], r.Measured)
+		db.scans[i] = scanStamp{last: r.LastScan, n: r.Scans}
 	}
 	db.version.Add(1)
 	return nil
@@ -168,56 +165,10 @@ func (db *DB) RestoreRecords(recs []Record) error {
 func (db *DB) FullyProfiled(id int) bool {
 	db.mu.RLock()
 	defer db.mu.RUnlock()
-	for _, m := range db.recs[id].Measured {
+	for _, m := range db.measured[id*db.levels : (id+1)*db.levels] {
 		if !m {
 			return false
 		}
 	}
 	return true
-}
-
-// LeastRecentlyScanned returns up to k chip IDs ordered by scan
-// staleness: never-scanned chips first (by ID), then oldest LastScan.
-// This is how the scan planner "chooses a group of inadequately profiled
-// processors" (Section III.C, stage 2).
-func (db *DB) LeastRecentlyScanned(k int) []int {
-	db.mu.RLock()
-	defer db.mu.RUnlock()
-	if k > len(db.recs) {
-		k = len(db.recs)
-	}
-	// Selection by two passes keeps this O(n) for the common case where
-	// unscanned chips fill the quota.
-	out := make([]int, 0, k)
-	for id := range db.recs {
-		if db.recs[id].Scans == 0 {
-			out = append(out, id)
-			if len(out) == k {
-				return out
-			}
-		}
-	}
-	type cand struct {
-		id   int
-		last units.Seconds
-	}
-	cands := make([]cand, 0, len(db.recs))
-	for id := range db.recs {
-		if db.recs[id].Scans > 0 {
-			cands = append(cands, cand{id, db.recs[id].LastScan})
-		}
-	}
-	for len(out) < k && len(cands) > 0 {
-		best := 0
-		for i := 1; i < len(cands); i++ {
-			if cands[i].last < cands[best].last ||
-				(cands[i].last == cands[best].last && cands[i].id < cands[best].id) {
-				best = i
-			}
-		}
-		out = append(out, cands[best].id)
-		cands[best] = cands[len(cands)-1]
-		cands = cands[:len(cands)-1]
-	}
-	return out
 }

@@ -300,28 +300,6 @@ func TestDBUpdateErrors(t *testing.T) {
 	}
 }
 
-func TestLeastRecentlyScanned(t *testing.T) {
-	db := NewDB(6, 1)
-	mk := func(v float64) []units.Volts { return []units.Volts{units.Volts(v)} }
-	// Scan chips 1, 3, 5 at increasing times.
-	_ = db.Update(1, mk(1.0), 100)
-	_ = db.Update(3, mk(1.0), 200)
-	_ = db.Update(5, mk(1.0), 300)
-	got := db.LeastRecentlyScanned(5)
-	want := []int{0, 2, 4, 1, 3} // unscanned first by ID, then oldest scans
-	if len(got) != len(want) {
-		t.Fatalf("got %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("got %v, want %v", got, want)
-		}
-	}
-	if n := len(db.LeastRecentlyScanned(100)); n != 6 {
-		t.Fatalf("oversized request returned %d ids", n)
-	}
-}
-
 func TestPlannerWindows(t *testing.T) {
 	p := &Planner{UtilThreshold: 0.3}
 	times := []units.Seconds{0, 60, 120, 180, 240, 300}

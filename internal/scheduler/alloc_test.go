@@ -63,7 +63,7 @@ type allocKernel struct {
 func allocKernels(s *sim) []allocKernel {
 	now := s.eng.Now()
 	j := s.states[len(s.states)-1].job
-	order := make([]int, 0, len(s.dc.Procs))
+	order := make([]int, 0, s.dc.Len())
 	return []allocKernel{
 		{"selectProcs", func() {
 			_ = s.selectProcs(j, now)
@@ -141,7 +141,7 @@ func TestFairRepairAllocFree(t *testing.T) {
 	// preempt cycle below has a target.
 	busy := -1
 	for busy < 0 {
-		for i := range s.dc.Procs {
+		for i := range s.dc.Len() {
 			if s.dc.IsBusy(i) {
 				busy = i
 				break
@@ -152,7 +152,7 @@ func TestFairRepairAllocFree(t *testing.T) {
 		}
 	}
 	now := s.eng.Now()
-	order := make([]int, 0, len(s.dc.Procs))
+	order := make([]int, 0, s.dc.Len())
 	fairRepair := func() {
 		// The same-instant preempt/enqueue round-trip leaves the
 		// cluster unchanged but fair-dirties one processor, so
@@ -277,33 +277,100 @@ func TestEngineTagSize(t *testing.T) {
 func TestUtilTimesIntoNoEscape(t *testing.T) {
 	s := warmSim(t)
 	now := s.eng.Now()
-	buf := make([]units.Seconds, 0, len(s.dc.Procs))
+	buf := make([]units.Seconds, 0, s.dc.Len())
 	measure(t, "UtilTimesInto", func() {
 		buf = s.dc.UtilTimesInto(buf[:0], now)
 	})
+}
+
+// bytesPerOp returns what fn allocates per call, in bytes and in
+// objects, as testing.Benchmark measures it. fn runs on the
+// benchmark's goroutine, so it reports failures with t.Error.
+func bytesPerOp(fn func()) (bytes, allocs int64) {
+	r := testing.Benchmark(func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			fn()
+		}
+	})
+	return r.AllocedBytesPerOp(), r.AllocsPerOp()
 }
 
 // TestBuildFleetAllocsPerChip: a fleet build keeps its chips, cores,
 // margins, bins, scan records and, for a noisy scan, the per-chip noise
 // streams in slabs, so doubling the fleet adds at most one allocation
 // per added chip. What does grow, the scan's per-chunk buffers, grows
-// per 64 chips.
+// per 64 chips. The bytes per added chip stay under a budget, about
+// 49 B higher for a noisy scan's noise streams: the profile DB stores
+// each chip's facts once, without a per-chip record view. The budgets
+// sit a few bytes above what a build reads at -cpu 1, 2 and 4 (499–500
+// and 548–549 B), so an 8-byte per-chip array coming back fails them.
 func TestBuildFleetAllocsPerChip(t *testing.T) {
 	const n = 1000
-	for _, noise := range []float64{0, 0.004} {
+	for _, c := range []struct {
+		noise        float64
+		bytesPerChip float64
+	}{{0, 506}, {0.004, 556}} {
 		build := func(procs int) func() {
 			return func() {
 				spec := DefaultFleetSpec(5, procs)
-				spec.ScanNoise = noise
+				spec.ScanNoise = c.noise
 				if _, err := BuildFleet(spec); err != nil {
-					t.Fatal(err)
+					t.Error(err)
 				}
 			}
 		}
 		small := testing.AllocsPerRun(3, build(n))
 		large := testing.AllocsPerRun(3, build(2*n))
 		if perChip := (large - small) / n; perChip > 1 {
-			t.Fatalf("ScanNoise %v: BuildFleet(%d) allocated %v objects, BuildFleet(%d) %v: %.2f per added chip, want at most 1", noise, 2*n, large, n, small, perChip)
+			t.Fatalf("ScanNoise %v: BuildFleet(%d) allocated %v objects, BuildFleet(%d) %v: %.2f per added chip, want at most 1", c.noise, 2*n, large, n, small, perChip)
 		}
+		smallB, _ := bytesPerOp(build(n))
+		largeB, _ := bytesPerOp(build(2 * n))
+		perChip := float64(largeB-smallB) / n
+		if perChip > c.bytesPerChip {
+			t.Fatalf("ScanNoise %v: BuildFleet(%d) allocated %d B, BuildFleet(%d) %d B: %.1f B per added chip, want at most %v", c.noise, 2*n, largeB, n, smallB, perChip, c.bytesPerChip)
+		}
+		t.Logf("ScanNoise %v: %.1f B per added chip", c.noise, perChip)
 	}
+}
+
+// TestNewStepperBytesPerProc holds a run's own per-processor state to a
+// byte budget: NewStepper over a static ScanFair regime with no jobs,
+// on fleets of 1,000 and 2,000 processors, adds at most
+// stepperBytesPerProc bytes per added processor, and its allocation
+// count does not grow with the fleet. The cluster keeps no
+// per-processor object and the scan knowledge reads the fleet's profile
+// DB in place. The budget sits a few bytes above the 327.9 B a run
+// reads, so even an 8-byte per-processor array coming back fails it.
+func TestNewStepperBytesPerProc(t *testing.T) {
+	const (
+		n                   = 1000
+		stepperBytesPerProc = 335
+	)
+	sch, ok := SchemeByName("ScanFair")
+	if !ok {
+		t.Fatal("ScanFair scheme missing")
+	}
+	measure := func(procs int) (bytes, allocs int64) {
+		fleet, err := BuildFleet(DefaultFleetSpec(5, procs))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return bytesPerOp(func() {
+			if _, err := NewStepper(fleet, sch, RunConfig{Seed: 1}); err != nil {
+				t.Error(err)
+			}
+		})
+	}
+	smallB, smallA := measure(n)
+	largeB, largeA := measure(2 * n)
+	perProc := float64(largeB-smallB) / n
+	if perProc > stepperBytesPerProc {
+		t.Errorf("NewStepper allocated %d B at %d procs, %d B at %d: %.1f B per added processor, want at most %d", smallB, n, largeB, 2*n, perProc, stepperBytesPerProc)
+	}
+	if largeA > smallA {
+		t.Errorf("NewStepper made %d allocations at %d procs, %d at %d: the count grows with the fleet", smallA, n, largeA, 2*n)
+	}
+	t.Logf("%.1f B per added processor; %d allocations at %d procs, %d at %d", perProc, smallA, n, largeA, 2*n)
 }

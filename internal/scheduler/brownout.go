@@ -139,7 +139,7 @@ func (s *sim) brownoutDownlevel(now units.Seconds) {
 		if s.viewDemand() <= s.curWind {
 			return
 		}
-		sl := s.dc.Procs[order[i]].Current()
+		sl := s.dc.Current(order[i])
 		if sl == nil || sl.Level == 0 {
 			continue
 		}
@@ -164,7 +164,7 @@ func (s *sim) brownoutShed(now units.Seconds) {
 				return
 			}
 			id := order[i]
-			sl := s.dc.Procs[id].Current()
+			sl := s.dc.Current(id)
 			if sl == nil || sl.Job.Urgency != urg {
 				continue
 			}

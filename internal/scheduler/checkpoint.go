@@ -300,7 +300,7 @@ func (s *sim) snapMeta() snapMeta {
 	return snapMeta{
 		Scheme:  s.scheme.Name,
 		Seed:    s.cfg.Seed,
-		Procs:   len(s.dc.Procs),
+		Procs:   s.dc.Len(),
 		Jobs:    len(s.states),
 		CfgHash: s.configHash(),
 	}
@@ -494,7 +494,7 @@ func (s *sim) restore(data []byte) error {
 	if err := checkpoint.Decode(data, &snap); err != nil {
 		return fmt.Errorf("scheduler: resume: %w", err)
 	}
-	if snap.Meta.Scheme != s.scheme.Name || snap.Meta.Seed != s.cfg.Seed || snap.Meta.Procs != len(s.dc.Procs) {
+	if snap.Meta.Scheme != s.scheme.Name || snap.Meta.Seed != s.cfg.Seed || snap.Meta.Procs != s.dc.Len() {
 		return fmt.Errorf("scheduler: resume: snapshot belongs to a different run (snapshot %+v, this run %+v)", snap.Meta, s.snapMeta())
 	}
 	trace := s.trace()
@@ -865,7 +865,7 @@ func (s *sim) validateTag(tag eventTag) (bool, error) {
 	case tagCompletion:
 		return !s.staleTag(tag.engine()), nil
 	case tagFinishScan:
-		if tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
+		if tag.A < 0 || int(tag.A) >= s.dc.Len() {
 			return false, fmt.Errorf("scan finish for processor %d out of range", tag.A)
 		}
 		if !s.onlineActive || s.scanState[tag.A] != 1 {
@@ -884,7 +884,7 @@ func (s *sim) validateTag(tag eventTag) (bool, error) {
 		}
 		return true, nil
 	case tagRepaired:
-		if s.faults == nil || tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
+		if s.faults == nil || tag.A < 0 || int(tag.A) >= s.dc.Len() {
 			return false, fmt.Errorf("repair event for processor %d invalid", tag.A)
 		}
 		return true, nil
@@ -897,7 +897,7 @@ func (s *sim) validateTag(tag eventTag) (bool, error) {
 		if s.faults == nil {
 			return false, fmt.Errorf("reprofile event with fault injection disabled")
 		}
-		if tag.A < 0 || int(tag.A) >= len(s.dc.Procs) {
+		if tag.A < 0 || int(tag.A) >= s.dc.Len() {
 			return false, fmt.Errorf("reprofile event for processor %d out of range", tag.A)
 		}
 		// The payload is a faults.FalsePass of this chip: the handler

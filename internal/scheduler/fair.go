@@ -178,7 +178,7 @@ type fairState struct {
 // while it consumes the pass, and every placement begins its own.
 func (f *fairState) pass(dc *cluster.Datacenter, now units.Seconds) {
 	if f.fairVer == nil {
-		f.fairVer = make([]int32, len(dc.Procs))
+		f.fairVer = make([]int32, dc.Len())
 	}
 	f.now, f.margin = now, now*0x1p-49
 	feed := dc.FairFeed()
@@ -200,7 +200,7 @@ func (f *fairState) pass(dc *cluster.Datacenter, now units.Seconds) {
 func (f *fairState) rebuild(dc *cluster.Datacenter) {
 	ver := f.fairVer
 	idle, busy := f.idle.main[:0], f.busy.main[:0]
-	for id := range dc.Procs {
+	for id := range dc.Len() {
 		if dc.IsBusy(id) {
 			busy = append(busy, fairEntry{key: dc.UtilOffset(id), id: int32(id), ver: ver[id]})
 		} else {
@@ -235,7 +235,7 @@ func (f *fairState) repair(dc *cluster.Datacenter, dirty []int32) {
 	}
 	f.idle.add()
 	f.busy.add()
-	if f.stale > max(1024, len(dc.Procs)/32) {
+	if f.stale > max(1024, dc.Len()/32) {
 		f.idle.compact(ver)
 		f.busy.compact(ver)
 		f.stale = 0

@@ -67,10 +67,10 @@ func checkFairOrderRandomized(t *testing.T, fleet *Fleet, sch Scheme, jobs *work
 		// thresholds into the compacting full pass.
 		burst := rnd.Intn(8)
 		if rnd.Intn(10) == 0 {
-			burst = len(s.dc.Procs) / 4
+			burst = s.dc.Len() / 4
 		}
 		for k := 0; k < burst; k++ {
-			id := rnd.Intn(len(s.dc.Procs))
+			id := rnd.Intn(s.dc.Len())
 			if sl := s.dc.Preempt(id, now); sl != nil {
 				s.dc.Enqueue(sl, now)
 			}
@@ -108,7 +108,7 @@ func busySim(t *testing.T) *sim {
 	if err != nil {
 		t.Fatalf("newSim: %v", err)
 	}
-	for 4*s.dc.BusyCount() < 3*len(s.dc.Procs) {
+	for 4*s.dc.BusyCount() < 3*s.dc.Len() {
 		if !s.eng.Step() {
 			t.Fatal("event queue drained before three quarters of the fleet went busy")
 		}
@@ -131,7 +131,7 @@ func drainFair(dst []int, s *sim, now units.Seconds) []int {
 func checkFairOrder(t *testing.T, s *sim, now units.Seconds, pass int) {
 	t.Helper()
 	got := drainFair(nil, s, now)
-	ref := make([]utilKey, 0, len(s.dc.Procs))
+	ref := make([]utilKey, 0, s.dc.Len())
 	for id, u := range s.dc.UtilTimes(now) {
 		ref = append(ref, utilKey{u: u, id: id})
 	}
@@ -196,13 +196,13 @@ func TestFairOrderNearTies(t *testing.T) {
 			// dirty their processors, so every pass after the
 			// restore's full one is a repair pass.
 			for k := 0; k < 2; k++ {
-				if sl := s.dc.Preempt(rnd.Intn(len(s.dc.Procs)), now); sl != nil {
+				if sl := s.dc.Preempt(rnd.Intn(s.dc.Len()), now); sl != nil {
 					s.dc.Enqueue(sl, now)
 				}
 			}
 		}
 		var busy []fairEntry
-		for id := range s.dc.Procs {
+		for id := range s.dc.Len() {
 			if s.dc.IsBusy(id) {
 				busy = append(busy, fairEntry{key: s.dc.UtilOffset(id), id: int32(id)})
 			}
@@ -238,8 +238,8 @@ func TestFairPassKeysConsumedPrefix(t *testing.T) {
 	now := s.eng.Now()
 	busy := s.dc.BusyCount()
 	checkFairOrder(t, s, now, 0) // first use: the full rebuild
-	for pass, take := range []int{0, 1, 3, 10, 40, len(s.dc.Procs)} {
-		if sl := s.dc.Preempt(pass*37%len(s.dc.Procs), now); sl != nil {
+	for pass, take := range []int{0, 1, 3, 10, 40, s.dc.Len()} {
+		if sl := s.dc.Preempt(pass*37%s.dc.Len(), now); sl != nil {
 			s.dc.Enqueue(sl, now)
 		}
 		it := s.candidateIter(now, true)

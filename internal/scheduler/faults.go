@@ -157,7 +157,7 @@ func (s *sim) onFaultEvent(i int, now units.Seconds) {
 // offline (under repair, re-profile or opportunistic scan) is absorbed
 // by the ongoing outage.
 func (s *sim) onCrash(id int, repair, now units.Seconds) {
-	if s.dc.Procs[id].Offline() {
+	if s.dc.Offline(id) {
 		return
 	}
 	s.sync(now)

@@ -17,10 +17,7 @@ type FleetSpec struct {
 	Seed      uint64
 	NumProcs  int
 	Variation variation.Config // zero value -> variation.DefaultConfig(Seed)
-	DVFS      *power.Table     // nil -> power.DefaultTable()
-
-	Bins         int     // 0 -> binning.DefaultBins
-	FactoryGuard float64 // 0 -> binning.DefaultFactoryGuard
+	Bins      int              // 0 -> binning.DefaultBins
 
 	Scan      profiling.Config // zero Kind/fields -> profiling.DefaultConfig()
 	ScanNoise float64          // measurement noise sigma in volts
@@ -58,10 +55,7 @@ func BuildFleet(spec FleetSpec) (*Fleet, error) {
 	if vcfg.CoresPerChip == 0 {
 		vcfg = variation.DefaultConfig(spec.Seed)
 	}
-	tbl := spec.DVFS
-	if tbl == nil {
-		tbl = power.DefaultTable()
-	}
+	tbl := power.DefaultTable()
 	if vcfg.NumLevels != tbl.NumLevels() {
 		return nil, fmt.Errorf("scheduler: variation has %d levels, DVFS table %d", vcfg.NumLevels, tbl.NumLevels())
 	}
@@ -79,11 +73,7 @@ func BuildFleet(spec FleetSpec) (*Fleet, error) {
 	if bins == 0 {
 		bins = binning.DefaultBins
 	}
-	guard := spec.FactoryGuard
-	if guard == 0 {
-		guard = binning.DefaultFactoryGuard
-	}
-	bn, err := binning.Assign(chips, tbl, bins, guard)
+	bn, err := binning.Assign(chips, tbl, bins, binning.DefaultFactoryGuard)
 	if err != nil {
 		return nil, err
 	}

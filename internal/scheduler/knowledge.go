@@ -107,8 +107,6 @@ type ScanKnowledge struct {
 	cacheVer uint64
 	vddCache []units.Volts
 	pwrCache []units.Watts
-	minBuf   []units.Volts
-	measBuf  []bool
 }
 
 // DefaultScanGuard is the in-cloud guardband (one scan voltage step).
@@ -133,33 +131,33 @@ func NewScanKnowledge(chips []*variation.Chip, pm *power.Model, db *profiling.DB
 }
 
 // refresh rebuilds the cached voltage and power tables from the DB
-// state at write-version ver. A version moving mid-copy only means the
-// next lookup refreshes again.
+// state at write-version ver, reading the DB's tables in place. A
+// version moving before the read only means the next lookup refreshes
+// again.
 func (k *ScanKnowledge) refresh(ver uint64) {
 	n, levels := len(k.chips), k.pm.Table.NumLevels()
 	if k.vddCache == nil {
 		k.vddCache = make([]units.Volts, n*levels)
 		k.pwrCache = make([]units.Watts, n*levels)
-		k.minBuf = make([]units.Volts, n*levels)
-		k.measBuf = make([]bool, n*levels)
 	}
-	k.db.CopyTables(k.minBuf, k.measBuf)
-	for id := 0; id < n; id++ {
-		ch := k.chips[id]
-		for l := 0; l < levels; l++ {
-			i := id*levels + l
-			vnom := k.pm.Table.Levels[l].Vnom
-			out := vnom
-			if v := k.minBuf[i]; k.measBuf[i] && v > 0 {
-				out = v + k.Guard
-				if out > vnom {
-					out = vnom
+	k.db.ReadTables(func(minVdd []units.Volts, measured []bool) {
+		for id := 0; id < n; id++ {
+			ch := k.chips[id]
+			for l := 0; l < levels; l++ {
+				i := id*levels + l
+				vnom := k.pm.Table.Levels[l].Vnom
+				out := vnom
+				if v := minVdd[i]; measured[i] && v > 0 {
+					out = v + k.Guard
+					if out > vnom {
+						out = vnom
+					}
 				}
+				k.vddCache[i] = out
+				k.pwrCache[i] = k.pm.CPUPower(ch.Alpha, ch.Beta, l, out)
 			}
-			k.vddCache[i] = out
-			k.pwrCache[i] = k.pm.CPUPower(ch.Alpha, ch.Beta, l, out)
 		}
-	}
+	})
 	k.cacheVer = ver
 }
 

@@ -20,8 +20,8 @@ import (
 // taken-map per call, and a full sort of the fallback candidates.
 func (s *sim) naiveSelectProcs(j *workload.Job, now units.Seconds) []placement {
 	n := j.Procs
-	if n > len(s.dc.Procs) {
-		n = len(s.dc.Procs)
+	if n > s.dc.Len() {
+		n = s.dc.Len()
 	}
 	abundant := s.scheme.Policy == FairPolicy && s.windAbundant()
 	order := s.candidateOrder(now, abundant)
@@ -53,7 +53,7 @@ func (s *sim) naiveSelectProcs(j *workload.Job, now units.Seconds) []placement {
 		// earliest-available ones at the top level (deadline violations
 		// are recorded at completion).
 		s.availBuf = s.availBuf[:0]
-		for id := range s.dc.Procs {
+		for id := range s.dc.Len() {
 			if !taken[id] {
 				s.availBuf = append(s.availBuf, procAvail{id: id, avail: s.dc.AvailableAt(id, now)})
 			}

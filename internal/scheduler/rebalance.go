@@ -99,7 +99,7 @@ func (s *sim) endangered(sl *cluster.Slice, estStart units.Seconds) bool {
 func (s *sim) recountEndangered() {
 	x := &s.endanger
 	if x.count == nil {
-		x.count = make([]int32, len(s.dc.Procs))
+		x.count = make([]int32, s.dc.Len())
 	}
 	feed := s.dc.QueueFeed()
 	if dirty, overflow := feed.Dirty(); overflow {

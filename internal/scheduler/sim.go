@@ -929,8 +929,8 @@ func (s *sim) selectProcs(j *workload.Job, now units.Seconds) []placement {
 		return s.naiveSelectProcs(j, now)
 	}
 	n := j.Procs
-	if n > len(s.dc.Procs) {
-		n = len(s.dc.Procs)
+	if n > s.dc.Len() {
+		n = s.dc.Len()
 	}
 	abundant := s.scheme.Policy == FairPolicy && s.windAbundant()
 	it := s.candidateIter(now, abundant)
@@ -964,7 +964,7 @@ func (s *sim) selectProcs(j *workload.Job, now units.Seconds) []placement {
 		// earliest-available untaken ones at the top level (deadline
 		// violations are recorded at completion).
 		h := s.availBuf[:0]
-		for id := range s.dc.Procs {
+		for id := range s.dc.Len() {
 			if s.takenMark[id] != epoch {
 				h = append(h, procAvail{id: id, avail: s.dc.AvailableAt(id, now)})
 			}
@@ -1041,10 +1041,10 @@ func (s *sim) candidateOrder(now units.Seconds, abundant bool) []int {
 		return s.efficiencyOrder()
 	default:
 		if s.cfg.naive {
-			return s.r.Perm(len(s.dc.Procs))
+			return s.r.Perm(s.dc.Len())
 		}
 		if s.permBuf == nil {
-			s.permBuf = make([]int, len(s.dc.Procs))
+			s.permBuf = make([]int, s.dc.Len())
 		}
 		s.r.PermInto(s.permBuf)
 		return s.permBuf
@@ -1063,7 +1063,7 @@ func (s *sim) efficiencyOrder() []int {
 		return s.effPref
 	}
 	if s.cfg.naive {
-		s.effPref = effOrder(len(s.dc.Procs), s.know, s.effPref)
+		s.effPref = effOrder(s.dc.Len(), s.know, s.effPref)
 	} else {
 		if s.effKeys == nil {
 			s.effKeys = make([]effKey, len(s.effPref))
@@ -1297,7 +1297,7 @@ func (s *sim) maybeProfile(now units.Seconds) {
 	if s.online.RequireWind && s.cfg.Wind != nil && s.curWind <= 0 {
 		return
 	}
-	n := len(s.dc.Procs)
+	n := s.dc.Len()
 	busy := s.dc.BusyCount() + s.dc.OfflineCount()
 	if float64(busy)/float64(n) >= s.online.UtilThreshold {
 		return
@@ -1310,8 +1310,7 @@ func (s *sim) maybeProfile(now units.Seconds) {
 		if s.scanState[id] != 0 {
 			continue
 		}
-		p := s.dc.Procs[id]
-		if p.Current() != nil || p.QueueLen() > 0 || p.Offline() {
+		if s.dc.IsBusy(id) || s.dc.QueueLen(id) > 0 || s.dc.Offline(id) {
 			continue
 		}
 		if err := s.dc.SetOffline(id, s.online.TestPower); err != nil {

@@ -2,7 +2,6 @@ package scheduler
 
 import (
 	"fmt"
-	"math"
 
 	"iscope/internal/brownout"
 	"iscope/internal/checkpoint"
@@ -161,8 +160,8 @@ func (st *Stepper) InjectJob(at units.Seconds, job workload.Job) (int, error) {
 		return 0, fmt.Errorf("scheduler: InjectJob at t=%v before the clock %v", at, s.eng.Now())
 	}
 	job.Submit = at
-	if err := validateJob(&job); err != nil {
-		return 0, err
+	if err := job.Validate(); err != nil {
+		return 0, fmt.Errorf("scheduler: InjectJob: %w", err)
 	}
 	idx := len(s.states)
 	// Individually allocated: stateIdx and live slices hold *workload.Job
@@ -181,27 +180,6 @@ func (st *Stepper) InjectJob(at units.Seconds, job workload.Job) (int, error) {
 		return 0, err
 	}
 	return idx, nil
-}
-
-// validateJob checks one injected job the way Trace.Validate checks a
-// batch trace (minus cross-job ordering, which the arrival band makes
-// irrelevant).
-func validateJob(j *workload.Job) error {
-	finite := func(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
-	switch {
-	case !finite(float64(j.Submit)) || !finite(float64(j.Runtime)) ||
-		!finite(float64(j.Deadline)) || !finite(j.Boundness):
-		return fmt.Errorf("scheduler: injected job %d has non-finite fields", j.ID)
-	case j.Procs <= 0:
-		return fmt.Errorf("scheduler: injected job %d requests %d procs", j.ID, j.Procs)
-	case j.Runtime <= 0:
-		return fmt.Errorf("scheduler: injected job %d has runtime %v", j.ID, j.Runtime)
-	case j.Boundness < 0 || j.Boundness > 1:
-		return fmt.Errorf("scheduler: injected job %d boundness %v outside [0,1]", j.ID, j.Boundness)
-	case j.Deadline != 0 && j.Deadline < j.Submit+j.Runtime:
-		return fmt.Errorf("scheduler: injected job %d deadline before earliest completion", j.ID)
-	}
-	return nil
 }
 
 // Seal closes the job stream: no further InjectJob calls are accepted,

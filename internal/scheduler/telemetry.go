@@ -94,7 +94,7 @@ func (s *sim) onTelemetry(now units.Seconds) {
 	for i := range t.trueAgg {
 		t.trueAgg[i] = 0
 	}
-	for id := range s.dc.Procs {
+	for id := range s.dc.Len() {
 		t.trueAgg[t.model.NodeOf(id)] += float64(s.dc.ProcDraw(id))
 	}
 	dropped := t.model.Sample(now, t.trueAgg, t.estAgg)

@@ -24,28 +24,15 @@ type Options struct {
 	// SyncInterval bounds the fsync gap under wal.SyncInterval
 	// (default 100ms).
 	SyncInterval time.Duration
-	// SegmentBytes is the journal segment rotation threshold
-	// (default 1 MiB).
-	SegmentBytes int64
-	// DedupWindow is how many idempotency keys each tenant remembers
-	// (default 512). A submission retried inside the window returns
-	// its original outcome instead of duplicating jobs.
-	DedupWindow int
 	// MaxInflight bounds concurrently served API requests; excess
 	// requests are shed with 503 + Retry-After. 0 means unbounded.
 	MaxInflight int
 }
 
-func (o Options) withDefaults() Options {
-	if o.DedupWindow <= 0 {
-		o.DedupWindow = 512
-	}
-	return o
-}
-
-// walOptions derives the per-tenant journal configuration.
+// walOptions derives the per-tenant journal configuration; segments
+// rotate at the journal's own default size.
 func (o Options) walOptions() wal.Options {
-	return wal.Options{Policy: o.Sync, Interval: o.SyncInterval, SegmentBytes: o.SegmentBytes}
+	return wal.Options{Policy: o.Sync, Interval: o.SyncInterval}
 }
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -118,18 +105,16 @@ type dedupEntry struct {
 // whose key is still inside the window returns the stored outcome
 // without touching the simulation; beyond the window a retry would
 // re-apply, so the window must comfortably exceed a client's retry
-// horizon (the default remembers 512 batches).
+// horizon: it remembers dedupWindowSize batches.
 type dedupWindow struct {
-	cap  int
 	keys []string
 	m    map[string]dedupEntry
 }
 
-func newDedupWindow(capacity int) *dedupWindow {
-	if capacity <= 0 {
-		capacity = 512
-	}
-	return &dedupWindow{cap: capacity, m: make(map[string]dedupEntry)}
+const dedupWindowSize = 512
+
+func newDedupWindow() *dedupWindow {
+	return &dedupWindow{m: make(map[string]dedupEntry)}
 }
 
 func (w *dedupWindow) get(key string) (dedupEntry, bool) {
@@ -147,7 +132,7 @@ func (w *dedupWindow) add(e dedupEntry) {
 	}
 	w.keys = append(w.keys, e.Key)
 	w.m[e.Key] = e
-	for len(w.keys) > w.cap {
+	for len(w.keys) > dedupWindowSize {
 		delete(w.m, w.keys[0])
 		w.keys = w.keys[1:]
 	}

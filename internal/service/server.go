@@ -2,7 +2,9 @@ package service
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
+	"io/fs"
 	"net/http"
 	"os"
 	"path/filepath"
@@ -54,7 +56,7 @@ func New() *Server { return NewWithOptions(Options{}) }
 func NewWithOptions(opts Options) *Server {
 	s := &Server{
 		tenants:   make(map[string]*tenant),
-		opts:      opts.withDefaults(),
+		opts:      opts,
 		writeFile: checkpoint.WriteBytes,
 	}
 	if s.opts.MaxInflight > 0 {
@@ -215,7 +217,6 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, &APIError{Status: http.StatusUnprocessableEntity, Code: "invalid_spec", Message: err.Error()})
 		return
 	}
-	t.dedup = newDedupWindow(s.opts.DedupWindow)
 	s.mu.Lock()
 	if _, exists := s.tenants[spec.Name]; exists {
 		s.mu.Unlock()
@@ -658,7 +659,7 @@ func (s *Server) loadTenant(dir, name, metaPath string) (*tenant, error) {
 	}
 	snap, err := checkpoint.ReadBytes(filepath.Join(dir, snapName(name, meta.JournalSeq)))
 	if err != nil {
-		if os.IsNotExist(err) || strings.Contains(err.Error(), "no such file") {
+		if errors.Is(err, fs.ErrNotExist) {
 			return nil, fmt.Errorf("%w: metadata era %d has no snapshot: %v", ErrEraMismatch, meta.JournalSeq, err)
 		}
 		return nil, err
@@ -670,7 +671,6 @@ func (s *Server) loadTenant(dir, name, metaPath string) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.dedup = newDedupWindow(s.opts.DedupWindow)
 	t.dedup.restore(meta.Dedup)
 	t.adm.restore(meta.Admission)
 	if meta.Sealed {

@@ -13,6 +13,7 @@ import (
 	"iscope/internal/units"
 	"iscope/internal/wal"
 	"iscope/internal/wind"
+	"iscope/internal/workload"
 )
 
 // tenant is one live simulation: a stepper, its admission policy, and
@@ -85,7 +86,7 @@ func newTenant(spec TenantSpec, fleet *scheduler.Fleet, resume []byte) (*tenant,
 	if err != nil {
 		return nil, err
 	}
-	return &tenant{spec: spec, fleet: fleet, st: st, adm: adm, dedup: newDedupWindow(0)}, nil
+	return &tenant{spec: spec, fleet: fleet, st: st, adm: adm, dedup: newDedupWindow()}, nil
 }
 
 // journalAppend records one accepted mutation before its response is
@@ -176,41 +177,34 @@ func (t *tenant) submitLocked(js *JobSubmission) (int, *APIError) {
 	if t.st.Sealed() {
 		return 0, errConflict("tenant %q: job stream is sealed", t.spec.Name)
 	}
-	if aerr := t.validateSubmission(js); aerr != nil {
+	job := js.Job()
+	if aerr := t.validateSubmission(&job); aerr != nil {
 		return 0, aerr
 	}
-	at := units.Seconds(js.At)
-	if aerr := t.adm.admit(at); aerr != nil {
+	if aerr := t.adm.admit(job.Submit); aerr != nil {
 		return 0, aerr
 	}
-	idx, err := t.st.InjectJob(at, js.Job())
+	idx, err := t.st.InjectJob(job.Submit, job)
 	if err != nil {
 		return 0, errUnprocessable("tenant %q: %v", t.spec.Name, err)
 	}
 	return idx, nil
 }
 
-// validateSubmission rejects out-of-range and out-of-order
-// submissions with a typed 422 before they can touch the simulation
-// or the admission bucket. It mirrors the stepper's own validation;
-// the stepper stays the authority, this is the wire's fail-fast copy.
-func (t *tenant) validateSubmission(js *JobSubmission) *APIError {
-	switch {
-	case !isFinite(js.At) || !isFinite(js.Runtime) || !isFinite(js.Boundness) || !isFinite(js.Deadline):
-		return errUnprocessable("job %d: non-finite fields", js.ID)
-	case js.At < 0:
-		return errUnprocessable("job %d: negative arrival time %v", js.ID, js.At)
-	case js.Procs <= 0:
-		return errUnprocessable("job %d: requests %d procs", js.ID, js.Procs)
-	case js.Runtime <= 0:
-		return errUnprocessable("job %d: runtime %v", js.ID, js.Runtime)
-	case js.Boundness < 0 || js.Boundness > 1:
-		return errUnprocessable("job %d: boundness %v outside [0,1]", js.ID, js.Boundness)
-	case js.Deadline != 0 && js.Deadline < js.At+js.Runtime:
-		return errUnprocessable("job %d: deadline %v before earliest completion", js.ID, js.Deadline)
+// validateSubmission rejects malformed and out-of-order submissions
+// with a typed 422 before they can touch the simulation or the
+// admission bucket. The job's own fields are checked by Job.Validate,
+// the rule the stepper applies again; this adds only the stream's
+// checks: no negative arrival, none before the tenant's clock.
+func (t *tenant) validateSubmission(j *workload.Job) *APIError {
+	if err := j.Validate(); err != nil {
+		return errUnprocessable("%v", err)
 	}
-	if now := t.st.Now(); units.Seconds(js.At) < now {
-		return errUnprocessable("job %d: arrival t=%v is out of order (clock is at %v)", js.ID, js.At, now)
+	if j.Submit < 0 {
+		return errUnprocessable("job %d: negative arrival time %v", j.ID, float64(j.Submit))
+	}
+	if now := t.st.Now(); j.Submit < now {
+		return errUnprocessable("job %d: arrival t=%v is out of order (clock is at %v)", j.ID, float64(j.Submit), now)
 	}
 	return nil
 }

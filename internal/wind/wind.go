@@ -213,16 +213,6 @@ func (t *Trace) At(ts units.Seconds) units.Watts {
 	return t.Samples[i%len(t.Samples)]
 }
 
-// SampleIndex returns the index of the sample covering time ts (with
-// the same wrapping rule as At).
-func (t *Trace) SampleIndex(ts units.Seconds) int {
-	i := int(float64(ts) / float64(t.Interval))
-	if i < 0 {
-		i = 0
-	}
-	return i % len(t.Samples)
-}
-
 // Scale returns a copy of the trace with every sample multiplied by f —
 // the paper's SWP amplification sweep (Figure 9).
 func (t *Trace) Scale(f float64) *Trace {

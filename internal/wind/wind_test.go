@@ -172,9 +172,6 @@ func TestAtAndWrapping(t *testing.T) {
 	if tr.At(units.Days(1)+units.Minutes(15)) != tr.Samples[1] {
 		t.Error("trace should wrap past its end")
 	}
-	if tr.SampleIndex(units.Days(1)) != 0 {
-		t.Error("SampleIndex should wrap")
-	}
 }
 
 func TestScale(t *testing.T) {
@@ -336,12 +333,5 @@ func TestPeakAndEmptyTraceBehaviour(t *testing.T) {
 	}
 	if empty.Duration() != 0 {
 		t.Fatal("empty trace duration should be zero")
-	}
-}
-
-func TestSampleIndexNegativeClamps(t *testing.T) {
-	tr := genTrace(t, 47, units.Days(1))
-	if tr.SampleIndex(-100) != 0 {
-		t.Fatal("negative time should clamp to index 0")
 	}
 }

@@ -54,31 +54,37 @@ type Trace struct {
 	Jobs []Job
 }
 
-// Validate checks structural invariants: finite times, jobs sorted by
-// submit time, positive runtimes and processor counts, boundness in
-// [0,1]. The finiteness checks are explicit because NaN slips through
-// every ordered comparison (NaN <= 0 is false) and would otherwise
-// poison the event queue downstream.
+// Validate checks one job's own fields: finite times, a positive
+// processor count and runtime, boundness in [0,1], and a deadline, when
+// set, no earlier than Submit + Runtime. The finiteness checks are
+// explicit because NaN slips through every ordered comparison (NaN <= 0
+// is false) and would otherwise poison the event queue downstream.
+func (j *Job) Validate() error {
+	switch {
+	case !finite(float64(j.Submit)) || !finite(float64(j.Runtime)) ||
+		!finite(float64(j.Deadline)) || !finite(j.Boundness):
+		return fmt.Errorf("workload: job %d has non-finite fields", j.ID)
+	case j.Procs <= 0:
+		return fmt.Errorf("workload: job %d requests %d procs", j.ID, j.Procs)
+	case j.Runtime <= 0:
+		return fmt.Errorf("workload: job %d has runtime %v", j.ID, j.Runtime)
+	case j.Boundness < 0 || j.Boundness > 1:
+		return fmt.Errorf("workload: job %d boundness %v outside [0,1]", j.ID, j.Boundness)
+	case j.Deadline != 0 && j.Deadline < j.Submit+j.Runtime:
+		return fmt.Errorf("workload: job %d deadline before earliest completion", j.ID)
+	}
+	return nil
+}
+
+// Validate checks every job (Job.Validate) and that jobs are sorted by
+// submit time.
 func (t *Trace) Validate() error {
-	for i, j := range t.Jobs {
-		if !finite(float64(j.Submit)) || !finite(float64(j.Runtime)) ||
-			!finite(float64(j.Deadline)) || !finite(j.Boundness) {
-			return fmt.Errorf("workload: job %d has non-finite fields", j.ID)
+	for i := range t.Jobs {
+		if err := t.Jobs[i].Validate(); err != nil {
+			return err
 		}
-		if j.Procs <= 0 {
-			return fmt.Errorf("workload: job %d requests %d procs", j.ID, j.Procs)
-		}
-		if j.Runtime <= 0 {
-			return fmt.Errorf("workload: job %d has runtime %v", j.ID, j.Runtime)
-		}
-		if j.Boundness < 0 || j.Boundness > 1 {
-			return fmt.Errorf("workload: job %d boundness %v outside [0,1]", j.ID, j.Boundness)
-		}
-		if i > 0 && j.Submit < t.Jobs[i-1].Submit {
+		if i > 0 && t.Jobs[i].Submit < t.Jobs[i-1].Submit {
 			return fmt.Errorf("workload: jobs not sorted by submit time at index %d", i)
-		}
-		if j.Deadline != 0 && j.Deadline < j.Submit+j.Runtime {
-			return fmt.Errorf("workload: job %d deadline before earliest completion", j.ID)
 		}
 	}
 	return nil

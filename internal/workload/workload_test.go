@@ -199,6 +199,41 @@ func TestValidateCatchesCorruption(t *testing.T) {
 	}
 }
 
+// TestJobValidate holds one row per rule of Job.Validate, plus the
+// boundary values the rule must accept.
+func TestJobValidate(t *testing.T) {
+	ok := Job{ID: 7, Submit: 100, Procs: 4, Runtime: 60, Boundness: 0.5}
+	nan, inf := math.NaN(), math.Inf(1)
+	cases := []struct {
+		name  string
+		mut   func(*Job)
+		valid bool
+	}{
+		{"ok", func(*Job) {}, true},
+		{"nan submit", func(j *Job) { j.Submit = units.Seconds(nan) }, false},
+		{"inf runtime", func(j *Job) { j.Runtime = units.Seconds(inf) }, false},
+		{"inf deadline", func(j *Job) { j.Deadline = units.Seconds(inf) }, false},
+		{"nan boundness", func(j *Job) { j.Boundness = nan }, false},
+		{"zero procs", func(j *Job) { j.Procs = 0 }, false},
+		{"negative procs", func(j *Job) { j.Procs = -3 }, false},
+		{"zero runtime", func(j *Job) { j.Runtime = 0 }, false},
+		{"negative runtime", func(j *Job) { j.Runtime = -1 }, false},
+		{"boundness below 0", func(j *Job) { j.Boundness = -0.01 }, false},
+		{"boundness above 1", func(j *Job) { j.Boundness = 1.01 }, false},
+		{"deadline before completion", func(j *Job) { j.Deadline = 159 }, false},
+		{"deadline at completion", func(j *Job) { j.Deadline = 160 }, true},
+		{"boundness 0", func(j *Job) { j.Boundness = 0 }, true},
+		{"boundness 1", func(j *Job) { j.Boundness = 1 }, true},
+	}
+	for _, c := range cases {
+		j := ok
+		c.mut(&j)
+		if err := j.Validate(); (err == nil) != c.valid {
+			t.Errorf("%s: Validate() = %v, want valid=%v", c.name, err, c.valid)
+		}
+	}
+}
+
 func TestSynthConfigValidation(t *testing.T) {
 	mk := func(mut func(*SynthConfig)) SynthConfig {
 		c := DefaultSynthConfig(1, 100)
